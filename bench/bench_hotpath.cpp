@@ -62,6 +62,7 @@
 #include "noc/mesh.hpp"
 #include "sim/result_cache.hpp"
 #include "sim/study.hpp"
+#include "tls/task.hpp"
 #include "tls/version_map.hpp"
 #include "tls/violation_detector.hpp"
 
@@ -373,16 +374,16 @@ constexpr unsigned kAccessProcs = 16;
 
 /** The post-PR memory-state containers, as the engine composes them:
  *  the global version/MTID/overflow/undo structures plus the per-task
- *  read/write sets and the violation detector that every load and
- *  store touches. */
+ *  footprints (read set and read log) and the violation detector that
+ *  every load and store touches. The engine counts speculative writes
+ *  from version masks at commit, so stores insert into no write set. */
 struct NewMemState {
     tls::VersionMap vmap;
     mem::MtidTable mtid;
     mem::OverflowArea ovf;
     mem::UndoLog undo;
     tls::ViolationDetector det;
-    std::vector<FlatSet<Addr>> readWords{kAccessWindow};
-    std::vector<FlatSet<Addr>> writtenWords{kAccessWindow};
+    std::vector<tls::TaskFootprint> footprints{kAccessWindow};
 };
 
 /** The verbatim pre-PR containers from bench_hotpath_legacy. */
@@ -467,16 +468,80 @@ qWordWriter(tls::VersionMap &, NewLineRef ref, Addr, std::uint8_t bit,
                : 0;
 }
 
-inline bool
-setInsert(FlatSet<Addr> &s, Addr w)
+/**
+ * Per-task set traffic, each side's native pattern: the first-read
+ * dedup that gates a detector record, the per-store write-set insert
+ * (legacy only), and the retire-time read-record drain, which walks the
+ * read log on the new side and the read set on the legacy side.
+ */
+inline void
+reserveTaskSets(NewMemState &st, std::size_t n)
 {
-    return s.insert(w);
+    for (tls::TaskFootprint &fp : st.footprints) {
+        fp.readWords.reserve(n);
+        fp.readLog.reserve(n);
+    }
 }
 
 inline bool
-setInsert(std::unordered_set<Addr> &s, Addr w)
+firstRead(NewMemState &st, std::size_t slot, Addr w)
 {
-    return s.insert(w).second;
+    return st.footprints[slot].noteRead(w);
+}
+
+inline void
+noteWrite(NewMemState &, std::size_t, Addr)
+{
+}
+
+inline void
+dropReads(NewMemState &st, std::size_t slot, TaskId t)
+{
+    st.det.dropReader(t, st.footprints[slot].readLog);
+    st.footprints[slot].clear();
+}
+
+inline void
+dropScratchReads(NewMemState &st, TaskId t, const std::vector<Addr> &words)
+{
+    st.det.dropReader(t, words);
+}
+
+inline void
+reserveTaskSets(LegacyMemState &st, std::size_t n)
+{
+    for (auto &s : st.readWords)
+        s.reserve(n);
+    for (auto &s : st.writtenWords)
+        s.reserve(n);
+}
+
+inline bool
+firstRead(LegacyMemState &st, std::size_t slot, Addr w)
+{
+    return st.readWords[slot].insert(w).second;
+}
+
+inline void
+noteWrite(LegacyMemState &st, std::size_t slot, Addr w)
+{
+    st.writtenWords[slot].insert(w);
+}
+
+inline void
+dropReads(LegacyMemState &st, std::size_t slot, TaskId t)
+{
+    st.det.dropReader(t, st.readWords[slot]);
+    st.readWords[slot].clear();
+    st.writtenWords[slot].clear();
+}
+
+inline void
+dropScratchReads(LegacyMemState &st, TaskId t,
+                 const std::vector<Addr> &words)
+{
+    st.det.dropReader(t,
+                      std::unordered_set<Addr>(words.begin(), words.end()));
 }
 
 struct LegacyLineRef {
@@ -562,10 +627,7 @@ struct AccessDriver {
         recovery.reserve(kPerTask);
         for (auto &v : dirty)
             v.reserve(kPerTask);
-        for (auto &s : st.readWords)
-            s.reserve(kPerTask);
-        for (auto &s : st.writtenWords)
-            s.reserve(kPerTask);
+        reserveTaskSets(st, kPerTask);
         for (TaskId t = 1; t <= TaskId(kWindow); ++t) {
             for (std::uint32_t i = 0; i < kPerTask; ++i)
                 st.undo.append(t, mem::UndoLogEntry{});
@@ -573,20 +635,19 @@ struct AccessDriver {
         }
         // Overflow area and violation-word table: warm to the hard
         // bound of concurrently live entries (kWindow tasks times
-        // kPerTask each), via a throwaway word set.
-        typename std::remove_reference_t<decltype(st.readWords)>::value_type
-            words;
+        // kPerTask each), via a throwaway word list.
+        std::vector<Addr> words;
         for (std::uint32_t i = 0; i < kWindow * kPerTask; ++i) {
             const Addr line = kLineBase + Addr(i % kLines) * 64;
             st.ovf.put(line, mem::VersionTag{scratchTask + i, 1}, 1);
-            words.insert(line + (i / kLines) % 8);
+            words.push_back(line + (i / kLines) % 8);
             st.det.noteRead(line + (i / kLines) % 8, scratchTask, 0);
         }
         for (std::uint32_t i = 0; i < kWindow * kPerTask; ++i) {
             const Addr line = kLineBase + Addr(i % kLines) * 64;
             st.ovf.remove(line, mem::VersionTag{scratchTask + i, 1});
         }
-        st.det.dropReader(scratchTask, words);
+        dropScratchReads(st, scratchTask, words);
     }
 
     static std::size_t slotOf(TaskId t) { return std::size_t(t % kWindow); }
@@ -630,14 +691,14 @@ struct AccessDriver {
             prevMask = v->writeMask;
             checksum += v->tag.producer + v->writeMask;
         }
-        if (setInsert(st.readWords[slot], line + Addr(slot))) {
+        if (firstRead(st, slot, line + Addr(slot))) {
             st.det.noteRead(line + Addr(slot), reader,
                             qWordWriter(st.vmap, ref, line, bit, reader));
         }
 
         if ((roll & 3u) == 0) { // store
             const Addr wword = line + Addr((roll >> 8) & 7u);
-            setInsert(st.writtenWords[slot], wword);
+            noteWrite(st, slot, wword);
             const TaskId victim = st.det.checkWrite(wword, reader);
             if (victim != kNoTask)
                 checksum += victim;
@@ -695,10 +756,8 @@ struct AccessDriver {
             st.vmap.remove(l, tag);
         }
         dirty[slot].clear();
-        st.det.dropReader(t, st.readWords[slot]);
+        dropReads(st, slot, t);
         checksum += st.det.recordsLive();
-        st.readWords[slot].clear();
-        st.writtenWords[slot].clear();
         checksum += st.undo.size() + st.ovf.size();
     }
 

@@ -7,6 +7,7 @@
 #include "tls/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "common/log.hpp"
@@ -268,6 +269,24 @@ SpeculationEngine::specTasksDelta(int delta)
     specTasksNow_ = unsigned(int(specTasksNow_) + delta);
 }
 
+void
+SpeculationEngine::takeFootprint(TaskRecord &r)
+{
+    if (freeFootprints_.empty()) {
+        r.footprint = std::make_unique<TaskFootprint>();
+        return;
+    }
+    r.footprint = std::move(freeFootprints_.back());
+    freeFootprints_.pop_back();
+}
+
+void
+SpeculationEngine::returnFootprint(TaskRecord &r)
+{
+    r.footprint->clear();
+    freeFootprints_.push_back(std::move(r.footprint));
+}
+
 RunResult
 SpeculationEngine::run()
 {
@@ -335,7 +354,7 @@ SpeculationEngine::tryDispatch(ProcId proc)
     r.state = TaskState::Running;
     r.proc = proc;
     ++r.incarnation;
-    r.resetFootprint();
+    takeFootprint(r);
     r.execStart = eq_.now();
     if (!cfg_.sequential)
         specTasksDelta(+1);
@@ -359,8 +378,9 @@ SpeculationEngine::onTaskFinished(ProcId proc, TaskId id)
         r.state = TaskState::Committed;
         TLSIM_TRACE_EVENT(trace::Kind::TaskCommit, proc, id, 0,
                           r.incarnation);
-        footprintWords_ += r.writtenWords.size();
-        footprintPrivWords_ += r.privWords;
+        footprintWords_ += r.footprint->writtenWords.size();
+        footprintPrivWords_ += r.footprint->privWords;
+        returnFootprint(r);
         execDurSum_ += r.execEnd - r.execStart;
         ++commitSamples_;
         if (id == workload_.numTasks()) {
@@ -454,7 +474,6 @@ SpeculationEngine::validatePredictions(TaskId id, Cycle *cost_out)
     }
     TaskRecord &r = rec(id);
     ProcId proc = r.proc;
-    const mem::MachineParams &m = cfg_.machine;
 
     // Re-derive the producer each predicted word would observe now,
     // with exactly the lookup the detector's read records use. The
@@ -464,16 +483,7 @@ SpeculationEngine::validatePredictions(TaskId id, Cycle *cost_out)
     for (const cpu::ValidationEntry &e : entries) {
         // Validation entries store word indices; reconstruct the byte
         // address before deriving line and word-bit coordinates.
-        Addr byteAddr = e.word * mem::kWordBytes;
-        Addr line = mem::lineAddr(byteAddr);
-        TaskId actual;
-        if (m.wordGranularityDetection) {
-            actual = versions_.latestWordWriter(
-                line, mem::wordBit(byteAddr), id);
-        } else {
-            VersionInfo *vv = versions_.latestVisible(line, id);
-            actual = vv ? vv->tag.producer : 0;
-        }
+        TaskId actual = observedProducer(e.word * mem::kWordBytes, id);
         if (actual != e.predictedProducer) {
             counters_.inc(sid_.valueMispredicts);
             TLSIM_TRACE_EVENT(trace::Kind::ValueMispredict, proc, id,
@@ -516,7 +526,7 @@ SpeculationEngine::mergeTaskState(TaskId id, Cycle start)
     Cycle issue = start + m.commitFixedCycles;
     Cycle oneway = 0;
 
-    for (Addr line : r.dirtyLines) {
+    for (Addr line : r.footprint->dirtyLines) {
         VersionInfo *v = versions_.find(line, r.tag());
         if (!v || v->inMemory)
             continue;
@@ -554,18 +564,25 @@ SpeculationEngine::finishCommit(TaskId id)
     execDurSum_ += r.execEnd - r.execStart;
     commitDurSum_ += r.commitEnd - r.commitStart;
     ++commitSamples_;
-    footprintWords_ += r.writtenWords.size();
-    footprintPrivWords_ += r.privWords;
 
     if (uncommittedFinished_[r.proc] == 0)
         panic("finishCommit: uncommittedFinished underflow");
     --uncommittedFinished_[r.proc];
     specTasksDelta(-1);
 
-    for (Addr line : r.dirtyLines) {
+    for (Addr line : r.footprint->dirtyLines) {
         VersionInfo *v = versions_.find(line, r.tag());
         if (!v)
             continue;
+        // The write mask holds exactly the words this execution wrote
+        // to the line: the written-footprint statistic.
+        footprintWords_ += unsigned(std::popcount(v->writeMask));
+        for (unsigned mask = v->writeMask; mask != 0; mask &= mask - 1) {
+            Addr word = line * mem::kWordsPerLine +
+                        Addr(std::countr_zero(mask));
+            if (workload_.isPrivAddr(word * mem::kWordBytes))
+                ++footprintPrivWords_;
+        }
         v->committed = true;
         switch (cfg_.scheme.merging) {
           case Merging::EagerAMM: {
@@ -621,7 +638,8 @@ SpeculationEngine::finishCommit(TaskId id)
     if (cfg_.scheme.merging == Merging::FMM)
         logs_[r.proc].dropTask(id);
 
-    detector_.dropReader(id, r.readWords);
+    detector_.dropReader(id, r.footprint->readLog);
+    returnFootprint(r);
 
     // Wake MultiT&SV stalls blocked on this task's version.
     auto it = svWaiters_.find(id);
@@ -676,8 +694,7 @@ SpeculationEngine::advanceInvocation()
     barrierActive_ = true;
     Cycle finish = eq_.now();
     if (cfg_.scheme.merging == Merging::LazyAMM) {
-        for (ProcId p = 0; p < numProcs(); ++p)
-            finish = std::max(finish, finalMergeProc(p, eq_.now()));
+        finish = finalMerge(eq_.now());
         counters_.inc(sid_.barrierMergeCycles, finish - eq_.now());
     }
     if (invocEnd_ >= workload_.numTasks()) {
@@ -710,32 +727,48 @@ SpeculationEngine::releaseNextInvocation()
 }
 
 Cycle
-SpeculationEngine::finalMergeProc(ProcId proc, Cycle start)
+SpeculationEngine::finalMerge(Cycle start)
 {
-    // Same pipelined-drain model as mergeTaskState, but sweeping all
-    // of this processor's committed-unmerged versions in parallel with
-    // the other processors' sweeps. The sweep order is canonical
-    // (ascending line address, then producer): the network traffic it
+    // Same pipelined-drain model as mergeTaskState: every processor
+    // sweeps its committed-unmerged versions, all sweeps in parallel
+    // from @p start. The sweep order is canonical (processor, then
+    // ascending line address, then producer): the network traffic it
     // issues reserves shared links, so the order must be defined by
-    // the model, not by whatever the version index iterates in.
+    // the model, not by whatever the version index iterates in. One
+    // scan of the index collects every processor's candidates.
     const mem::MachineParams &m = cfg_.machine;
-    Cycle issue = start;
-    Cycle oneway = 0;
     mergeScratch_.clear();
-    versions_.forEach([&](Addr line, VersionInfo &v) {
-        if (!v.committed || v.inMemory || v.cacheOwner != proc)
-            return;
-        mergeScratch_.emplace_back(line, &v);
+    versions_.forEach([this](Addr line, VersionInfo &v) {
+        if (v.committed && v.cacheOwner != kNoProc)
+            mergeScratch_.push_back({v.cacheOwner, line, &v});
     });
     std::sort(mergeScratch_.begin(), mergeScratch_.end(),
-              [](const std::pair<Addr, VersionInfo *> &a,
-                 const std::pair<Addr, VersionInfo *> &b) {
-                  if (a.first != b.first)
-                      return a.first < b.first;
-                  return a.second->tag.producer < b.second->tag.producer;
+              [](const MergeItem &a, const MergeItem &b) {
+                  if (a.owner != b.owner)
+                      return a.owner < b.owner;
+                  if (a.line != b.line)
+                      return a.line < b.line;
+                  return a.v->tag.producer < b.v->tag.producer;
               });
-    for (auto &[line, vp] : mergeScratch_) {
-        VersionInfo &v = *vp;
+    Cycle finish = start;
+    Cycle issue = start;
+    Cycle oneway = 0;
+    ProcId proc = kNoProc;
+    for (const MergeItem &item : mergeScratch_) {
+        if (item.owner != proc) {
+            finish = std::max(finish, issue + oneway);
+            proc = item.owner;
+            issue = start;
+            oneway = 0;
+        }
+        Addr line = item.line;
+        VersionInfo &v = *item.v;
+        // Checked at the item's turn, not at collection: a version
+        // written through and then refetched (no-overflow-area
+        // ablation) is both in memory and cache-owned, and an earlier
+        // processor's sweep may take the memory slot from it.
+        if (v.inMemory)
+            continue;
         // Only the latest committed version of a line needs a
         // write-back; earlier ones are invalidated by the VCL. Both
         // cost a sweep step, but only the write-back travels.
@@ -778,7 +811,7 @@ SpeculationEngine::finalMergeProc(ProcId proc, Cycle start)
         }
         v.cacheOwner = kNoProc;
     }
-    return issue + oneway;
+    return std::max(finish, issue + oneway);
 }
 
 void
@@ -866,18 +899,18 @@ SpeculationEngine::squashOne(TaskId id)
     specTasksDelta(-1);
 
     mem::VersionTag tag = r.tag();
-    for (Addr line : r.dirtyLines) {
+    for (Addr line : r.footprint->dirtyLines) {
         l2_[p]->invalidateVersion(line, tag);
         l1_[p]->invalidateVersion(line, tag);
         overflow_[p].remove(line, tag);
         versions_.remove(line, tag);
     }
 
-    detector_.dropReader(id, r.readWords);
+    detector_.dropReader(id, r.footprint->readLog);
+    returnFootprint(r);
     if (cfg_.scheme.predictsValues())
         vlog_.dropTask(id);
     svWaiters_.erase(id);
-    r.resetFootprint();
     r.state = TaskState::Pending;
     r.proc = kNoProc;
 }

@@ -159,6 +159,12 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     VersionMap versions_;
     ViolationDetector detector_;
     std::vector<TaskRecord> tasks_; // index id-1
+    /**
+     * Footprints of ended executions, cleared with their capacity kept,
+     * for the next dispatches. Footprints only ever exist for as many
+     * executions as were once in flight together.
+     */
+    std::vector<std::unique_ptr<TaskFootprint>> freeFootprints_;
     TaskScheduler scheduler_;
     TaskId nextCommit_ = 1;
     bool commitInProgress_ = false;
@@ -204,8 +210,14 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     SmallVec<mem::VersionTag, 8> deadScratch_;
     /** runRecoveryQueue undo-log drain buffer (reused, reversed). */
     std::vector<mem::UndoLogEntry> recoveryScratch_;
-    /** finalMergeProc canonical sweep worklist (line-sorted). */
-    std::vector<std::pair<Addr, VersionInfo *>> mergeScratch_;
+    /** One Lazy final-merge candidate: (owner, line, version). */
+    struct MergeItem {
+        ProcId owner;
+        Addr line;
+        VersionInfo *v;
+    };
+    /** finalMerge canonical sweep worklist (owner, line, producer). */
+    std::vector<MergeItem> mergeScratch_;
 
     // --- statistics ---
     CounterSet counters_;
@@ -250,6 +262,11 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
 
     void specTasksDelta(int delta);
 
+    /** Give @p r a cleared footprint for the execution it starts. */
+    void takeFootprint(TaskRecord &r);
+    /** Take @p r's footprint back (its execution ended), capacity kept. */
+    void returnFootprint(TaskRecord &r);
+
     void tryDispatch(ProcId proc);
     void tryDispatchAll();
 
@@ -265,7 +282,8 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     bool validatePredictions(TaskId id, Cycle *cost_out);
     void finishCommit(TaskId id);
     Cycle mergeTaskState(TaskId id, Cycle start);
-    Cycle finalMergeProc(ProcId proc, Cycle start);
+    /** Lazy AMM's end-of-invocation merge; @return when it finishes. */
+    Cycle finalMerge(Cycle start);
     void advanceInvocation();
     void releaseNextInvocation();
     void endSection();
@@ -333,6 +351,13 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
      */
     cpu::LoadReply loadForTask(ProcId proc, Addr addr, Cycle now,
                                bool note);
+
+    /**
+     * Producer whose version a read of @p addr by @p reader observes at
+     * the detector's granularity (0 = architectural): one probe of the
+     * version index.
+     */
+    TaskId observedProducer(Addr addr, TaskId reader);
 
     /**
      * Fault injection: displace the just-created version @p tag of

@@ -444,21 +444,20 @@ SpeculationEngine::noteLoadRetire(ProcId proc, Addr addr, Cycle now)
         return;
     const mem::MachineParams &m = cfg_.machine;
     TaskId task = cores_[proc]->currentTask();
-    Addr line = mem::lineAddr(addr);
     Addr word = m.wordGranularityDetection ? mem::wordAddr(addr)
                                            : mem::lineAddr(addr);
-    TaskRecord &r = rec(task);
-    if (r.readWords.insert(word)) {
-        TaskId observed =
-            m.wordGranularityDetection
-                ? versions_.latestWordWriter(line, mem::wordBit(addr),
-                                             task)
-                : (versions_.latestVisible(line, task)
-                       ? versions_.latestVisible(line, task)
-                             ->tag.producer
-                       : 0);
-        detector_.noteRead(word, task, observed);
-    }
+    if (rec(task).footprint->noteRead(word))
+        detector_.noteRead(word, task, observedProducer(addr, task));
+}
+
+TaskId
+SpeculationEngine::observedProducer(Addr addr, TaskId reader)
+{
+    Addr line = mem::lineAddr(addr);
+    if (cfg_.machine.wordGranularityDetection)
+        return versions_.latestWordWriter(line, mem::wordBit(addr), reader);
+    VersionInfo *v = versions_.latestVisible(line, reader);
+    return v ? v->tag.producer : 0;
 }
 
 cpu::LoadReply
@@ -492,8 +491,7 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
         f1->lastUse = now;
         counters_.inc(sid_.l1Hits);
         if (note) {
-            TaskRecord &fr = rec(task);
-            if (fr.readWords.insert(word)) {
+            if (rec(task).footprint->noteRead(word)) {
                 TaskId observed =
                     m.wordGranularityDetection
                         ? (list ? VersionMap::latestWordWriterIn(
@@ -530,8 +528,8 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
             TaskId predicted;
             TaskRecord &pr = rec(task);
             if (predictors_[proc].predict(word, &predicted) &&
-                pr.readWords.insert(word)) {
-            vlog_.append(task, {word, predicted});
+                pr.footprint->noteRead(word)) {
+                vlog_.append(task, {word, predicted});
                 counters_.inc(sid_.valuePredictions);
                 TLSIM_TRACE_EVENT(trace::Kind::ValuePredict, proc,
                                   task, word, pr.incarnation);
@@ -585,21 +583,8 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
         }
     }
 
-    if (note) {
-        TaskRecord &r = rec(task);
-        if (r.readWords.insert(word)) {
-            TaskId observed =
-                m.wordGranularityDetection
-                    ? versions_.latestWordWriter(line,
-                                                 mem::wordBit(addr),
-                                                 task)
-                    : (versions_.latestVisible(line, task)
-                           ? versions_.latestVisible(line, task)
-                                 ->tag.producer
-                           : 0);
-            detector_.noteRead(word, task, observed);
-        }
-    }
+    if (note && rec(task).footprint->noteRead(word))
+        detector_.noteRead(word, task, observedProducer(addr, task));
     return {lat};
 }
 
@@ -650,13 +635,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     // version lookup — none of the code in between mutates the index.
     VersionList *list = versions_.listOf(line);
     VersionInfo *own = list ? VersionMap::findIn(*list, my_tag) : nullptr;
-    Addr stat_word = mem::wordAddr(addr); // footprint statistics
-    auto note_write = [&]() {
-        if (r.writtenWords.insert(stat_word) &&
-            workload_.isPrivAddr(addr)) {
-            ++r.privWords;
-        }
-    };
 
     if (own) {
         // Subsequent store to a line this task already versioned.
@@ -669,7 +647,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
             f1->writeMask |= bit;
             if (CacheLineState *f2 = l2_[proc]->findVersion(line, my_tag))
                 f2->writeMask |= bit;
-            note_write();
             return {m.latL1, cpu::StoreStall::None, 0};
         }
         Cycle lat;
@@ -716,7 +693,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
             panic("specStore: own version unreachable: " +
                   describeVersion(own));
         }
-        note_write();
         return {lat, cpu::StoreStall::None, 0};
     }
 
@@ -790,10 +766,11 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
         }
     }
 
+    // create() panics on a second version of the line by this task, so
+    // each line enters the footprint once.
     VersionInfo &nv = versions_.create(line, my_tag, proc);
     nv.writeMask = bit;
-    r.noteDirtyLine(line);
-    note_write();
+    r.footprint->dirtyLines.push_back(line);
 
     Cycle lat = fill;
     if (cfg_.scheme.isAmm() && overflow_[proc].size() > 0) {
@@ -888,11 +865,12 @@ SpeculationEngine::seqStore(ProcId proc, Addr addr, Cycle now)
     const mem::MachineParams &m = cfg_.machine;
     Addr line = mem::lineAddr(addr);
     VersionTag arch = VersionTag::arch();
-    TaskId task = cores_[proc]->currentTask();
-    TaskRecord &r = rec(task);
-    Addr word = mem::wordAddr(addr);
-    if (r.writtenWords.insert(word) && workload_.isPrivAddr(addr))
-        ++r.privWords;
+    // The baseline has no versions whose write masks finishCommit
+    // could count, so it keeps a written-word set.
+    TaskFootprint &fp = *rec(cores_[proc]->currentTask()).footprint;
+    if (fp.writtenWords.insert(mem::wordAddr(addr)) &&
+        workload_.isPrivAddr(addr))
+        ++fp.privWords;
 
     Cycle lat;
     CacheLineState *f2 = l2_[proc]->findVersion(line, arch);

@@ -8,6 +8,7 @@
 #define TLSIM_TLS_TASK_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -28,6 +29,54 @@ enum class TaskState : std::uint8_t {
 const char *taskStateName(TaskState s);
 
 /**
+ * The speculative footprint of one execution of a task. It lives only
+ * as long as the execution: the engine hands one out at dispatch and
+ * takes it back at commit or squash, clearing it but keeping its
+ * capacity for the next execution it serves.
+ */
+struct TaskFootprint {
+    /**
+     * Lines with a version produced by this execution, each once: a
+     * version is created at most once per (line, execution).
+     */
+    std::vector<Addr> dirtyLines;
+    /** Distinct detection words read (dedup for readLog). */
+    FlatSet<Addr> readWords;
+    /**
+     * readWords in first-read order. Dropping the execution's read
+     * records walks this log, never the set's (recycled) capacity.
+     */
+    std::vector<Addr> readLog;
+    /**
+     * Sequential baseline only: distinct words written, and how many of
+     * them lie in the workload's mostly-private region. A speculative
+     * execution counts both from its versions' write masks at commit.
+     */
+    FlatSet<Addr> writtenWords;
+    std::uint64_t privWords = 0;
+
+    /** Record a read of @p word. @return true on its first read. */
+    bool
+    noteRead(Addr word)
+    {
+        if (!readWords.insert(word))
+            return false;
+        readLog.push_back(word);
+        return true;
+    }
+
+    void
+    clear()
+    {
+        dirtyLines.clear();
+        readWords.clear();
+        readLog.clear();
+        writtenWords.clear();
+        privWords = 0;
+    }
+};
+
+/**
  * Everything the engine tracks about one task.
  */
 struct TaskRecord {
@@ -39,15 +88,9 @@ struct TaskRecord {
     /** Times squashed. */
     std::uint32_t squashes = 0;
 
-    /** Lines with a version produced by the current incarnation. */
-    std::vector<Addr> dirtyLines;
-    FlatSet<Addr> dirtyLineSet;
-    /** Distinct words written (footprint statistic). */
-    FlatSet<Addr> writtenWords;
-    /** Distinct words read (read-set; violation-record cleanup). */
-    FlatSet<Addr> readWords;
-    /** Words written into the workload's mostly-private region. */
-    std::uint64_t privWords = 0;
+    /** The current execution's footprint; null while pending or
+     *  committed. */
+    std::unique_ptr<TaskFootprint> footprint;
 
     /** @name Timeline (last incarnation) */
     ///@{
@@ -67,24 +110,6 @@ struct TaskRecord {
     isSpeculativeState() const
     {
         return state == TaskState::Running || state == TaskState::Finished;
-    }
-
-    /** Reset speculative footprint for a (re-)execution. */
-    void
-    resetFootprint()
-    {
-        dirtyLines.clear();
-        dirtyLineSet.clear();
-        writtenWords.clear();
-        readWords.clear();
-        privWords = 0;
-    }
-
-    void
-    noteDirtyLine(Addr line)
-    {
-        if (dirtyLineSet.insert(line))
-            dirtyLines.push_back(line);
     }
 };
 

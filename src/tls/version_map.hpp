@@ -15,7 +15,6 @@
 #define TLSIM_TLS_VERSION_MAP_HPP
 
 #include <cstdint>
-#include <functional>
 
 #include "common/flat_map.hpp"
 #include "common/small_vec.hpp"
@@ -154,8 +153,19 @@ class VersionMap
     /** Remove the version with @p tag (squash). No-op if absent. */
     void remove(Addr line, mem::VersionTag tag);
 
-    /** Apply @p fn to every (line, version) pair. */
-    void forEach(const std::function<void(Addr, VersionInfo &)> &fn);
+    /**
+     * Apply @p fn(Addr, VersionInfo &) to every (line, version) pair.
+     * No structural calls from inside @p fn.
+     */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn)
+    {
+        lines_.forEach([&fn](const Addr &line, VersionList &vec) {
+            for (auto &v : vec)
+                fn(line, v);
+        });
+    }
 
     /** Number of lines with at least one version. */
     std::size_t linesTracked() const { return lines_.size(); }

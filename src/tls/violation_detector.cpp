@@ -26,12 +26,12 @@ ViolationDetector::checkWrite(Addr word, TaskId writer) const
 }
 
 void
-ViolationDetector::dropReader(TaskId reader, const FlatSet<Addr> &words)
+ViolationDetector::dropReader(TaskId reader, const std::vector<Addr> &words)
 {
-    words.forEach([this, reader](Addr word) {
+    for (Addr word : words) {
         auto *vec = byWord_.find(word);
         if (!vec)
-            return;
+            continue;
         auto new_end = std::remove_if(
             vec->begin(), vec->end(),
             [reader](const ReadRecord &r) { return r.reader == reader; });
@@ -39,7 +39,7 @@ ViolationDetector::dropReader(TaskId reader, const FlatSet<Addr> &words)
         vec->erase(new_end, vec->end());
         if (vec->empty())
             byWord_.erase(word);
-    });
+    }
 }
 
 void

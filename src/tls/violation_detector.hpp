@@ -13,6 +13,7 @@
 #define TLSIM_TLS_VIOLATION_DETECTOR_HPP
 
 #include <cstdint>
+#include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/small_vec.hpp"
@@ -44,9 +45,10 @@ class ViolationDetector
 
     /**
      * Forget @p reader's records for the given words (squash requeue
-     * or commit; the engine passes the task's read set).
+     * or commit; the engine passes the execution's read log). Cost is
+     * one probe per listed word.
      */
-    void dropReader(TaskId reader, const FlatSet<Addr> &words);
+    void dropReader(TaskId reader, const std::vector<Addr> &words);
 
     std::uint64_t recordsLive() const { return records_; }
 

@@ -161,6 +161,34 @@ TEST(EngineCorners, WriteThroughForNonSpeculativeTaskWithoutOverflow)
     EXPECT_GT(res.counters.get("nonspec_writethroughs"), 0u);
 }
 
+TEST(EngineCorners, LazyFinalMergeSweepsAWrittenThroughVersionThatLostMemory)
+{
+    // Task 2 (proc 1) pins its L2 set with two versions, so its store
+    // to line L writes through to memory; its next store to L refetches
+    // the version, which is then both in memory and cache-owned. Task 3
+    // (proc 0, after task 1) writes L later. The final merge sweeps
+    // proc 0 first: task 3's version takes the memory slot from task
+    // 2's, which proc 1's sweep must then retire like any other.
+    mem::MachineParams m = tinyL2Numa();
+    m.overflowArea = false;
+    m.numProcs = 2;
+    const Addr x = 0x4000'0000;      // L2 set 0
+    const Addr l = x + 2 * 16 * 64; // L2 set 0 too
+    std::vector<std::vector<Op>> tasks = {
+        {Op::compute(100)},
+        {Op::compute(5000), Op::store(x), Op::store(x + 16 * 64),
+         Op::store(l), Op::store(l + 8)},
+        {Op::compute(20'000), Op::store(l + 16)},
+    };
+    RunResult res = runCfg(
+        tasks, SchemeConfig::make(Separation::MultiTMV, Merging::LazyAMM),
+        m);
+    EXPECT_EQ(res.committedTasks, 3u);
+    EXPECT_EQ(res.counters.get("nonspec_writethroughs"), 1u);
+    // Both of task 2's pinned versions, both versions of L.
+    EXPECT_EQ(res.counters.get("final_merge_lines"), 4u);
+}
+
 TEST(EngineCorners, SingleInstructionTasksWork)
 {
     std::vector<std::vector<Op>> tasks(8, {Op::compute(1)});

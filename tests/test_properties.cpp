@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "mem/cache.hpp"
 #include "noc/mesh.hpp"
@@ -277,6 +283,82 @@ TEST(AccountingInvariants, HoldForEverySchemeOnSampledAppGrid)
         }
     }
 }
+
+// ---------------------------------------------------------------
+// Written footprint: sequential word sets vs speculative write masks
+// ---------------------------------------------------------------
+
+namespace {
+
+/**
+ * One workload draw: a calibrated app at 64 tasks on numa16, or one of
+ * the squash-heavy synthSuite draws on mesh64 (app unset).
+ */
+struct FootprintDraw {
+    std::string name;
+    std::optional<apps::AppParams> app;
+    apps::SynthSpec spec;
+};
+
+/** Stable test-list names: gtest would otherwise print raw bytes. */
+void
+PrintTo(const FootprintDraw &d, std::ostream *os)
+{
+    *os << d.name;
+}
+
+std::vector<FootprintDraw>
+footprintDraws()
+{
+    std::vector<FootprintDraw> out;
+    for (apps::AppParams app : apps::appSuite()) {
+        app.numTasks = 64;
+        out.push_back({app.name, app, {}});
+    }
+    for (const apps::SynthSpec &spec : apps::synthSuite(56, 192, 0x5e1f)) {
+        std::string name = spec.name();
+        std::replace(name.begin(), name.end(), '-', '_');
+        out.push_back({name, std::nullopt, spec});
+    }
+    return out;
+}
+
+class WrittenFootprint : public ::testing::TestWithParam<FootprintDraw>
+{
+};
+
+} // namespace
+
+TEST_P(WrittenFootprint, SequentialBaselineAndEverySchemeAgree)
+{
+    // The sequential baseline counts written words in a per-task set; a
+    // speculative run counts them from its versions' write masks at
+    // commit. A committed execution replays the baseline's stores, so
+    // both must agree exactly — also on the synth draws, whose squashed
+    // executions (thousands under FMM) recycle footprints.
+    const FootprintDraw &d = GetParam();
+    const mem::MachineParams machine = d.app
+                                           ? mem::MachineParams::numa16()
+                                           : mem::MachineParams::mesh(64);
+    tls::RunResult seq = d.app ? sim::runSequential(*d.app, machine)
+                               : sim::runSynthSequential(d.spec, machine);
+    ASSERT_GT(seq.avgWrittenKb, 0.0);
+    for (const tls::SchemeConfig &scheme :
+         tls::SchemeConfig::evaluatedSchemes()) {
+        SCOPED_TRACE(scheme.name());
+        tls::RunResult r =
+            d.app ? sim::runScheme(*d.app, scheme, machine)
+                  : sim::runSynthScheme(d.spec, scheme, machine);
+        EXPECT_EQ(r.avgWrittenKb, seq.avgWrittenKb);
+        EXPECT_EQ(r.privFraction, seq.privFraction);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Draws, WrittenFootprint, ::testing::ValuesIn(footprintDraws()),
+    [](const ::testing::TestParamInfo<FootprintDraw> &info) {
+        return info.param.name;
+    });
 
 TEST(EngineProperties, ReplicatedSeedsPerturbExecTimeOnly)
 {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tls/violation_detector.hpp"
 
 using namespace tlsim;
@@ -74,10 +76,8 @@ TEST(ViolationDetector, DropReaderForgetsRecords)
     d.noteRead(10, 7, 0);
     d.noteRead(11, 7, 0);
     d.noteRead(10, 8, 0);
-    FlatSet<Addr> words;
-    words.insert(10);
-    words.insert(11);
-    d.dropReader(7, words);
+    // A read log may list words without a record (predicted reads).
+    d.dropReader(7, std::vector<Addr>{10, 11, 12});
     EXPECT_EQ(d.checkWrite(10, 5), 8u); // 8's record remains
     EXPECT_EQ(d.checkWrite(11, 5), kNoTask);
     EXPECT_EQ(d.recordsLive(), 1u);
