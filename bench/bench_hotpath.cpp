@@ -175,10 +175,10 @@ secondsSince(Clock::time_point start)
  * The simulator's schedule pattern, reproduced in steady state: every
  * core keeps about one outstanding event (so the queue holds O(#cores)
  * events, not thousands), each event reschedules its successor with a
- * short mixed delay, callbacks are the size of Core::wait's lambda (a
- * this pointer plus a continuation-sized payload), and ~1/8 of events
- * are scheduled and then cancelled before they fire, like aborted
- * waits on a squash.
+ * short mixed delay, callbacks are 40 bytes (a this pointer plus a
+ * 32-byte payload: more than the 24 bytes a core wait captures, so
+ * the conservative case), and ~1/8 of events are scheduled and then
+ * cancelled before they fire, like aborted waits on a squash.
  */
 template <typename Queue>
 struct ChurnDriver {
@@ -189,7 +189,7 @@ struct ChurnDriver {
     std::uint64_t pendingCancel = 0;
     unsigned delay = 0;
 
-    /** Pads the capture to Core::wait's 8 + 32 bytes. */
+    /** Pads the capture to 8 + 32 bytes (see above). */
     struct Payload {
         std::uint64_t pad[4];
     };
@@ -412,6 +412,21 @@ drainUndo(LegacyUndoLog &log, TaskId task,
           std::vector<mem::UndoLogEntry> &out)
 {
     out = log.takeForRecovery(task);
+}
+
+/** The overflow area keeps only the spilled keys; the legacy table also
+ *  stores (and OR-merges) a write mask that nothing reads. */
+inline void
+spill(mem::OverflowArea &ovf, Addr line, mem::VersionTag tag, std::uint8_t)
+{
+    ovf.put(line, tag);
+}
+
+inline void
+spill(LegacyOverflowArea &ovf, Addr line, mem::VersionTag tag,
+      std::uint8_t mask)
+{
+    ovf.put(line, tag, mask);
 }
 
 /** Deterministic 64-bit LCG; both A/B sides replay the same stream. */
@@ -639,7 +654,7 @@ struct AccessDriver {
         std::vector<Addr> words;
         for (std::uint32_t i = 0; i < kWindow * kPerTask; ++i) {
             const Addr line = kLineBase + Addr(i % kLines) * 64;
-            st.ovf.put(line, mem::VersionTag{scratchTask + i, 1}, 1);
+            spill(st.ovf, line, mem::VersionTag{scratchTask + i, 1}, 1);
             words.push_back(line + (i / kLines) % 8);
             st.det.noteRead(line + (i / kLines) % 8, scratchTask, 0);
         }
@@ -720,7 +735,7 @@ struct AccessDriver {
                     st.mtid.writeBack(line, tag);
                     ++checksum;
                 } else {
-                    st.ovf.put(line, tag, bit);
+                    spill(st.ovf, line, tag, bit);
                     checksum += st.ovf.size();
                 }
             }

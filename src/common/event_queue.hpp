@@ -47,9 +47,9 @@ class EventQueue
   public:
     /**
      * Inline capacity of event callbacks. 48 bytes covers every
-     * simulator callback (the largest captures `this` plus a moved-in
-     * `std::function` continuation); larger callables still work but
-     * fall back to one heap allocation.
+     * simulator callback (the largest, a core wait, captures `this`
+     * plus its continuation lambda by value: 24 bytes); larger
+     * callables still work but fall back to one heap allocation.
      */
     static constexpr std::size_t kInlineCallbackBytes = 48;
     using Callback = InlineFunction<kInlineCallbackBytes>;

@@ -504,6 +504,15 @@ class FlatSet
         map_.forEach([&fn](const K &k, const Empty &) { fn(k); });
     }
 
+    /** Erase every key matching @p pred(const K&); see FlatMap::eraseIf. */
+    template <typename Pred>
+    std::size_t
+    eraseIf(Pred &&pred)
+    {
+        return map_.eraseIf(
+            [&pred](const K &k, const Empty &) { return pred(k); });
+    }
+
   private:
     struct Empty {};
     FlatMap<K, Empty, Hash> map_;

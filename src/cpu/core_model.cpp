@@ -1,5 +1,7 @@
 #include "cpu/core_model.hpp"
 
+#include <cstdio>
+
 #include "common/log.hpp"
 
 namespace tlsim::cpu {
@@ -54,26 +56,15 @@ CoreModel::enterIdle()
 }
 
 void
-CoreModel::wait(Cycle cycles, CycleKind kind, std::function<void()> then)
+CoreModel::waitOverflow(Cycle cycles, CycleKind kind) const
 {
-    if (cycles > (Cycle(1) << 40)) {
-        std::fprintf(stderr,
-                     "Core::wait overflow: proc=%u kind=%s cycles=%llu "
-                     "state=%d task=%llu now=%llu\n",
-                     id_, cycleKindName(kind),
-                     (unsigned long long)cycles, int(state_),
-                     (unsigned long long)task_,
-                     (unsigned long long)eq_.now());
-        panic("Core::wait: implausible duration (overflow?)");
-    }
-    waitStart_ = eq_.now();
-    waitKind_ = kind;
-    pendingEvent_ = eq_.scheduleIn(
-        cycles, [this, then = std::move(then)]() {
-            pendingEvent_ = 0;
-            breakdown_.add(waitKind_, eq_.now() - waitStart_);
-            then();
-        });
+    std::fprintf(stderr,
+                 "Core::wait overflow: proc=%u kind=%s cycles=%llu "
+                 "state=%d task=%llu now=%llu\n",
+                 id_, cycleKindName(kind), (unsigned long long)cycles,
+                 int(state_), (unsigned long long)task_,
+                 (unsigned long long)eq_.now());
+    panic("Core::wait: implausible duration (overflow?)");
 }
 
 void

@@ -175,9 +175,33 @@ class CoreModel
     /** Drop model-specific in-flight state (dispatch reset / abort). */
     virtual void resetTaskState() = 0;
 
-    void wait(Cycle cycles, CycleKind kind, std::function<void()> then);
+    /**
+     * Bill the next @p cycles as @p kind, then run @p then. The
+     * continuation is stored directly in the event slot (no
+     * std::function), so a wait allocates nothing.
+     */
+    template <typename F>
+    void
+    wait(Cycle cycles, CycleKind kind, F &&then)
+    {
+        if (cycles > (Cycle(1) << 40))
+            waitOverflow(cycles, kind);
+        waitStart_ = eq_.now();
+        waitKind_ = kind;
+        pendingEvent_ = eq_.scheduleIn(
+            cycles, [this, then = std::forward<F>(then)]() {
+                pendingEvent_ = 0;
+                breakdown_.add(waitKind_, eq_.now() - waitStart_);
+                then();
+            });
+    }
+
     void billIdle();
     void enterIdle();
+
+  private:
+    /** Diagnose an implausible wait duration (overflow) and panic. */
+    [[noreturn]] void waitOverflow(Cycle cycles, CycleKind kind) const;
 };
 
 } // namespace tlsim::cpu

@@ -1,21 +1,28 @@
 #include "mem/cache.hpp"
 
+#include <string>
+
 #include "common/log.hpp"
 
 namespace tlsim::mem {
 
 VersionedCache::VersionedCache(CacheGeometry geo, bool multi_version)
     : geo_(geo), multiVersion_(multi_version),
+      setMask_(Addr(geo.numSets()) - 1),
       frames_(std::size_t(geo.numSets()) * geo.assoc)
 {
-    if (geo.numSets() == 0)
+    unsigned sets = geo.numSets();
+    if (sets == 0)
         fatal("VersionedCache: zero sets");
+    if ((sets & (sets - 1)) != 0)
+        fatal("VersionedCache: set count " + std::to_string(sets) +
+              " is not a power of two");
 }
 
 CacheLineState *
 VersionedCache::setBase(Addr line)
 {
-    return &frames_[std::size_t(geo_.setIndex(line)) * geo_.assoc];
+    return &frames_[std::size_t(line & setMask_) * geo_.assoc];
 }
 
 CacheLineState *
@@ -71,8 +78,6 @@ VersionedCache::insert(const CacheLineState &want, Cycle now,
 
     // Same (line, version) already resident: update in place.
     if (CacheLineState *hit = findVersion(want.line, want.version)) {
-        Addr line = hit->line;
-        (void)line;
         *hit = want;
         hit->valid = true;
         hit->lastUse = now;

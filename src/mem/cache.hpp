@@ -38,7 +38,6 @@ struct CacheLineState {
     bool dirty = false;
     bool speculative = false;
     bool committedDirty = false;
-    std::uint8_t writeMask = 0;
     Cycle lastUse = 0;
 };
 
@@ -66,7 +65,8 @@ class VersionedCache
 {
   public:
     /**
-     * @param geo cache geometry
+     * @param geo cache geometry; its set count must be a power of two
+     *        (lines map to sets by masking)
      * @param multi_version allow several versions of one line per set
      *        (MultiT&MV). When false, at most one frame per line
      *        address may be resident.
@@ -141,6 +141,7 @@ class VersionedCache
   private:
     CacheGeometry geo_;
     bool multiVersion_;
+    Addr setMask_; // numSets - 1
     std::vector<CacheLineState> frames_; // numSets * assoc
 
     CacheLineState *setBase(Addr line);

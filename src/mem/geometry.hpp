@@ -52,12 +52,6 @@ struct CacheGeometry {
         return unsigned(sizeBytes / (std::uint64_t(kLineBytes) * assoc));
     }
 
-    unsigned
-    setIndex(Addr line_addr) const
-    {
-        return unsigned(line_addr % numSets());
-    }
-
     static CacheGeometry
     of(std::uint64_t size_bytes, unsigned assoc)
     {

@@ -5,13 +5,9 @@
 namespace tlsim::mem {
 
 void
-OverflowArea::put(Addr line, VersionTag version, std::uint8_t write_mask)
+OverflowArea::put(Addr line, VersionTag version)
 {
-    Key key{line, version.producer, version.incarnation};
-    auto [mask, inserted] = entries_.emplace(key, write_mask);
-    if (!inserted) {
-        *mask |= write_mask;
-    } else {
+    if (entries_.insert(Key{line, version.producer, version.incarnation})) {
         ++spills_;
         if (faultPressured())
             ++pressured_spills_;
@@ -39,9 +35,8 @@ OverflowArea::remove(Addr line, VersionTag version)
 void
 OverflowArea::dropTask(TaskId producer)
 {
-    entries_.eraseIf([producer](const Key &key, std::uint8_t) {
-        return key.producer == producer;
-    });
+    entries_.eraseIf(
+        [producer](const Key &key) { return key.producer == producer; });
 }
 
 void

@@ -21,15 +21,15 @@
 namespace tlsim::mem {
 
 /**
- * Overflow storage for one processor: a map from (line, version) to
- * the written-word mask. Capacity is unbounded (it lives in memory);
+ * Overflow storage for one processor: the set of (line, version) keys
+ * of the spilled lines. Capacity is unbounded (it lives in memory);
  * the cost is latency, charged by the engine.
  */
 class OverflowArea
 {
   public:
-    /** Add a displaced speculative line. */
-    void put(Addr line, VersionTag version, std::uint8_t write_mask);
+    /** Add a displaced speculative line (no-op if already present). */
+    void put(Addr line, VersionTag version);
 
     /** True if (line, version) is present. */
     bool contains(Addr line, VersionTag version) const;
@@ -108,7 +108,7 @@ class OverflowArea
         }
     };
 
-    FlatMap<Key, std::uint8_t, KeyHash> entries_;
+    FlatSet<Key, KeyHash> entries_;
     std::size_t peak_ = 0;
     std::uint64_t spills_ = 0;
     std::size_t fault_cap_ = 0;

@@ -300,7 +300,7 @@ SpeculationEngine::handleL2Eviction(ProcId proc,
         return; // squashed concurrently
 
     if (cfg_.scheme.isAmm()) {
-        overflow_[proc].put(line, victim.version, victim.writeMask);
+        overflow_[proc].put(line, victim.version);
         v->inOverflow = true;
         memBanks_.access(proc % cfg_.machine.numBanks, now);
         counters_.inc(sid_.overflowSpills);
@@ -320,7 +320,7 @@ SpeculationEngine::handleL2Eviction(ProcId proc,
             // vanish while its task is alive. Park it in the owner's
             // spill region (see DESIGN.md).
             mtid_.writeBack(line, victim.version); // counts reject
-            overflow_[proc].put(line, victim.version, victim.writeMask);
+            overflow_[proc].put(line, victim.version);
             v->inOverflow = true;
             counters_.inc(sid_.mtidRejectedSpills);
         }
@@ -640,20 +640,15 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
         // Subsequent store to a line this task already versioned.
         own->writeMask |= bit;
         if (CacheLineState *f1 = l1_[proc]->findVersion(line, my_tag)) {
-            // Uncontended-hit fast path: own version, own L1. Mask
-            // updates only — no Resource, directory or displacement
-            // work is possible.
+            // Uncontended-hit fast path: own version, own L1. One
+            // probe, an LRU touch — no Resource, directory or
+            // displacement work is possible.
             f1->lastUse = now;
-            f1->writeMask |= bit;
-            if (CacheLineState *f2 = l2_[proc]->findVersion(line, my_tag))
-                f2->writeMask |= bit;
             return {m.latL1, cpu::StoreStall::None, 0};
         }
         Cycle lat;
-        if (CacheLineState *f2 =
-                       l2_[proc]->findVersion(line, my_tag)) {
+        if (CacheLineState *f2 = l2_[proc]->findVersion(line, my_tag)) {
             f2->lastUse = now;
-            f2->writeMask |= bit;
             lat = m.latL2 + l2Ports_[proc].acquire(now, m.occL2Port);
             insertLineL1(proc, line, my_tag, now);
         } else if (own->inOverflow) {
@@ -670,7 +665,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
             cl.version = my_tag;
             cl.dirty = true;
             cl.speculative = true;
-            cl.writeMask = own->writeMask;
             insertLineL2(proc, cl, now, nullptr);
             insertLineL1(proc, line, my_tag, now);
         } else if (own->inMemory || own->inMhb) {
@@ -685,7 +679,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
             cl.version = my_tag;
             cl.dirty = true;
             cl.speculative = true;
-            cl.writeMask = own->writeMask;
             insertLineL2(proc, cl, now, nullptr);
             insertLineL1(proc, line, my_tag, now);
             counters_.inc(sid_.fmmRefetches);
@@ -799,7 +792,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
         cl.version = my_tag;
         cl.dirty = true;
         cl.speculative = true;
-        cl.writeMask = bit;
         lat += insertLineL2(proc, cl, now, nullptr);
         insertLineL1(proc, line, my_tag, now);
         counters_.inc(sid_.versionsCreated);

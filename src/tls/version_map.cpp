@@ -85,15 +85,11 @@ VersionMap::remove(Addr line, mem::VersionTag tag)
     VersionList *list = lines_.find(line);
     if (!list)
         return;
-    for (auto vit = list->begin(); vit != list->end(); ++vit) {
-        if (vit->tag == tag) {
-            TLSIM_TRACE_EVENT(trace::Kind::VersionRemove,
-                              vit->cacheOwner, tag.producer, line,
-                              tag.incarnation);
-            list->erase(vit);
-            --totalVersions_;
-            break;
-        }
+    if (VersionInfo *v = findIn(*list, tag)) {
+        TLSIM_TRACE_EVENT(trace::Kind::VersionRemove, v->cacheOwner,
+                          tag.producer, line, tag.incarnation);
+        list->erase(v);
+        --totalVersions_;
     }
     if (list->empty())
         lines_.erase(line);

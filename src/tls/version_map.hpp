@@ -114,13 +114,19 @@ class VersionMap
         return nullptr;
     }
 
-    /** find over an already-fetched list. */
+    /**
+     * find over an already-fetched list. Scans from the young end,
+     * where the version a task asks for usually sits: producers are
+     * sorted and unique (create() inserts in order and panics on a
+     * duplicate), so the first version with producer <= the wanted
+     * one is the only candidate.
+     */
     static VersionInfo *
     findIn(VersionList &list, mem::VersionTag tag)
     {
-        for (auto &v : list) {
-            if (v.tag == tag)
-                return &v;
+        for (auto rit = list.rbegin(); rit != list.rend(); ++rit) {
+            if (rit->tag.producer <= tag.producer)
+                return rit->tag == tag ? &*rit : nullptr;
         }
         return nullptr;
     }

@@ -44,9 +44,29 @@ TEST(Geometry, SetCountAndIndex)
 {
     CacheGeometry g = CacheGeometry::of(32 * 1024, 2);
     EXPECT_EQ(g.numSets(), 256u);
-    EXPECT_EQ(g.setIndex(0), 0u);
-    EXPECT_EQ(g.setIndex(256), 0u);
-    EXPECT_EQ(g.setIndex(257), 1u);
+
+    // Lines numSets apart share a set; neighbouring lines do not.
+    VersionedCache c(g, true);
+    EXPECT_FALSE(c.insert(line(0, 1), 0).evicted);
+    EXPECT_FALSE(c.insert(line(256, 1), 1).evicted);
+    EXPECT_FALSE(c.insert(line(1, 1), 2).evicted);
+    EXPECT_FALSE(c.insert(line(257, 1), 3).evicted);
+    auto res = c.insert(line(512, 1), 4); // third line of set 0
+    ASSERT_TRUE(res.evicted);
+    EXPECT_EQ(res.victim.line, 0u); // LRU of set 0
+    EXPECT_NE(c.findAnyOf(256), nullptr);
+    EXPECT_NE(c.findAnyOf(1), nullptr);
+    EXPECT_NE(c.findAnyOf(257), nullptr);
+    res = c.insert(line(513, 1), 5); // third line of set 1
+    ASSERT_TRUE(res.evicted);
+    EXPECT_EQ(res.victim.line, 1u);
+}
+
+TEST(VersionedCacheDeathTest, RejectsNonPowerOfTwoSetCount)
+{
+    // Sets are indexed by masking the line address.
+    EXPECT_DEATH(VersionedCache(CacheGeometry::of(3 * 64 * 2, 2), true),
+                 "not a power of two");
 }
 
 TEST(VersionedCache, InsertAndFindVersion)

@@ -153,7 +153,7 @@ TEST(MachineScaleDeathTest, UndersizedFrozenOverflowAreaPanics)
     EXPECT_DEATH(
         {
             for (Addr line = 0; line < 64; ++line)
-                area.put(line, VersionTag{TaskId(line + 1), 0}, 0xff);
+                area.put(line, VersionTag{TaskId(line + 1), 0});
         },
         "frozen");
 }

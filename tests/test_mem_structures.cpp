@@ -18,7 +18,7 @@ TEST(OverflowArea, PutContainsRemove)
 {
     OverflowArea area;
     VersionTag v{3, 1};
-    area.put(10, v, 0x0f);
+    area.put(10, v);
     EXPECT_TRUE(area.contains(10, v));
     EXPECT_FALSE(area.contains(10, VersionTag{4, 1}));
     EXPECT_FALSE(area.contains(11, v));
@@ -27,12 +27,12 @@ TEST(OverflowArea, PutContainsRemove)
     EXPECT_EQ(area.size(), 0u);
 }
 
-TEST(OverflowArea, RepeatedPutMergesMask)
+TEST(OverflowArea, RepeatedPutCountsOneSpill)
 {
     OverflowArea area;
     VersionTag v{3, 1};
-    area.put(10, v, 0x01);
-    area.put(10, v, 0x02);
+    area.put(10, v);
+    area.put(10, v);
     EXPECT_EQ(area.size(), 1u);
     EXPECT_EQ(area.totalSpills(), 1u);
 }
@@ -40,9 +40,9 @@ TEST(OverflowArea, RepeatedPutMergesMask)
 TEST(OverflowArea, DropTaskRemovesAllItsEntries)
 {
     OverflowArea area;
-    area.put(10, VersionTag{3, 1}, 1);
-    area.put(11, VersionTag{3, 1}, 1);
-    area.put(12, VersionTag{4, 1}, 1);
+    area.put(10, VersionTag{3, 1});
+    area.put(11, VersionTag{3, 1});
+    area.put(12, VersionTag{4, 1});
     area.dropTask(3);
     EXPECT_EQ(area.size(), 1u);
     EXPECT_TRUE(area.contains(12, VersionTag{4, 1}));
@@ -51,10 +51,10 @@ TEST(OverflowArea, DropTaskRemovesAllItsEntries)
 TEST(OverflowArea, PeakTracksHighWaterMark)
 {
     OverflowArea area;
-    area.put(1, VersionTag{1, 1}, 1);
-    area.put(2, VersionTag{1, 1}, 1);
+    area.put(1, VersionTag{1, 1});
+    area.put(2, VersionTag{1, 1});
     area.remove(1, VersionTag{1, 1});
-    area.put(3, VersionTag{1, 1}, 1);
+    area.put(3, VersionTag{1, 1});
     EXPECT_EQ(area.peakSize(), 2u);
 }
 
