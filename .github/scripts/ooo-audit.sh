@@ -2,14 +2,10 @@
 # Out-of-order core (docs/OOO_CORE.md): record a single-app fig9 sweep
 # with the per-op core records enabled and replay it against the audit
 # invariants (issue-order density, in-order retirement, replay
-# discipline), then assert the OoO model is partition-count invariant
-# on the same per-point oracles.
+# discipline).
 set -euo pipefail
 BUILD_DIR="${BUILD_DIR:-build}"
 cd "$BUILD_DIR"
 ./bench/bench_fig9_numa --core=ooo --app=Tree --reps=1 \
   --trace=fig9_ooo.bin --trace-mask=audit+core > /dev/null
 ./bench/bench_inspect --audit fig9_ooo.bin
-./bench/bench_hotpath --pdes-point --core=ooo --partitions=1 > point_ooo_p1.txt
-./bench/bench_hotpath --pdes-point --core=ooo --partitions=4 > point_ooo_p4.txt
-diff point_ooo_p1.txt point_ooo_p4.txt

@@ -57,48 +57,6 @@ parseThreads(int argc, char **argv)
 }
 
 /**
- * Parse a `--partitions N` / `--partitions=N` flag for the simulation
- * drivers: per-point partitioned-PDES queue count.
- *
- * Precedence (the documented contract, task_pool.hpp): an explicit
- * flag beats the TLSIM_PARTITIONS environment variable, which beats
- * the default of 1. Returning 0 here means "no flag" — the resolution
- * happens downstream (resolvePartitionCount), so env-only invocations
- * work for every driver. The scheduler's ordered mode guarantees the
- * figure tables, traces and memStateHash are byte-identical at any
- * value; the sweep's thread fan-out is clamped so that
- * threads x partitions never exceeds the thread budget.
- */
-inline unsigned
-parsePartitions(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--partitions") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--partitions wants a count\n");
-                std::exit(1);
-            }
-            value = argv[i + 1];
-        } else if (std::strncmp(arg, "--partitions=", 13) == 0) {
-            value = arg + 13;
-        }
-        if (value) {
-            long v = std::atol(value);
-            if (v < 1) {
-                std::fprintf(stderr, "--partitions wants a count >= 1, "
-                                     "got '%s'\n",
-                             value);
-                std::exit(1);
-            }
-            return unsigned(v);
-        }
-    }
-    return 0;
-}
-
-/**
  * Parse a `--core MODEL` / `--core=MODEL` flag for the simulation
  * drivers: which processor timing model drives the cores
  * (docs/OOO_CORE.md). `inorder` — the default — is byte-identical to

@@ -22,7 +22,6 @@ int
 main(int argc, char **argv)
 {
     unsigned threads = bench::parseThreads(argc, argv);
-    unsigned partitions = bench::parsePartitions(argc, argv);
     fault::FaultSpec faults = bench::parseFaults(argc, argv);
     // Full sweeps emit millions of records; default to the audit
     // categories (no NoC firehose) and size the rings accordingly.
@@ -40,7 +39,7 @@ main(int argc, char **argv)
 
     std::vector<sim::AppStudy> studies =
         sim::runStudySweep(apps::appSuite(), schemes, machine, 3, threads,
-                           faults, partitions);
+                           faults);
 
     std::fputs(sim::renderFigure(
                    "Figure 10 — architectural vs future main memory "
@@ -56,7 +55,7 @@ main(int argc, char **argv)
     sim::AppStudy lazy_l2_study = sim::runAppStudy(
         apps::p3m(),
         {{tls::Separation::MultiTMV, tls::Merging::LazyAMM, false}},
-        big_l2, 3, threads, faults, partitions);
+        big_l2, 3, threads, faults);
     const sim::AppStudy &p3m_study = studies[0];
     double norm = lazy_l2_study.outcomes[0].meanExecTime /
                   p3m_study.outcomes[0].meanExecTime;

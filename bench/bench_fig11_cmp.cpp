@@ -20,7 +20,6 @@ int
 main(int argc, char **argv)
 {
     unsigned threads = bench::parseThreads(argc, argv);
-    unsigned partitions = bench::parsePartitions(argc, argv);
     fault::FaultSpec faults = bench::parseFaults(argc, argv);
     // Full sweeps emit millions of records; default to the audit
     // categories (no NoC firehose) and size the rings accordingly.
@@ -40,7 +39,7 @@ main(int argc, char **argv)
 
     std::vector<sim::AppStudy> studies =
         sim::runStudySweep(apps::appSuite(), schemes, machine, 3, threads,
-                           faults, partitions);
+                           faults);
 
     std::fputs(sim::renderFigure(
                    "Figure 11 — task-state separation x eager/lazy AMM "

@@ -18,7 +18,6 @@ int
 main(int argc, char **argv)
 {
     unsigned threads = bench::parseThreads(argc, argv);
-    unsigned partitions = bench::parsePartitions(argc, argv);
     fault::FaultSpec faults = bench::parseFaults(argc, argv);
     // --app=NAME narrows the sweep to one application and --reps=N
     // overrides the replication count: a single-app single-rep run
@@ -76,7 +75,7 @@ main(int argc, char **argv)
 
     std::vector<sim::AppStudy> studies =
         sim::runStudySweep(suite, schemes, machine, reps, threads,
-                           faults, partitions);
+                           faults);
 
     std::fputs(sim::renderFigure(
                    "Figure 9 — task-state separation x eager/lazy AMM "

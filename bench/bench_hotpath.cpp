@@ -20,22 +20,11 @@
  * `*_speedup` metric drops below parity (the CI perf gate).
  *
  * Usage:
- *   bench_hotpath [--short] [--out FILE.json] [--pdes-csv FILE]
- *                 [--pdes-point [--partitions N]]
+ *   bench_hotpath [--short] [--out FILE.json]
  *
  * --short shrinks iteration counts for CI (the CTest target); the
  * functional checks (allocation-free fast path, end-to-end
  * determinism) run in both modes.
- *
- * The PDES section (DESIGN.md §9) measures the partitioned scheduler:
- * ordered-mode delegation overhead at one partition (gated >= 0.97 of
- * the raw kernel, `pdes_1p_ratio`) and parallel-mode events/sec at
- * 1/2/4/8 partitions over a mesh64-shaped lookahead plan
- * (`pdes_scaling_*`; --pdes-csv dumps the rows for
- * tools/pdes_scale.py). --pdes-point skips the benches and prints one
- * fig9 point plus one mesh64 synthetic point's determinism oracles at
- * the requested partition count — the CI pdes-determinism step diffs
- * that output across --partitions values.
  */
 
 #include <algorithm>
@@ -47,19 +36,15 @@
 #include <filesystem>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_hotpath_legacy.hpp"
 #include "common/event_queue.hpp"
 #include "common/flat_map.hpp"
-#include "common/partition.hpp"
 #include "common/stats.hpp"
-#include "common/task_pool.hpp"
 #include "mem/mtid_table.hpp"
 #include "mem/overflow_area.hpp"
 #include "mem/undo_log.hpp"
-#include "noc/mesh.hpp"
 #include "sim/result_cache.hpp"
 #include "sim/study.hpp"
 #include "tls/task.hpp"
@@ -860,138 +845,6 @@ benchEndToEnd(bool short_mode)
 }
 
 // --------------------------------------------------------------------
-// Partitioned-PDES scheduler (DESIGN.md §9)
-// --------------------------------------------------------------------
-
-/**
- * Ordered-mode overhead at one partition: the scheduler's P == 1 path
- * delegates to EventQueue::run() directly, so this measures pure
- * wrapper cost over the raw kernel on the identical churn workload.
- */
-BenchResult
-benchPdesOrdered1p(long quota)
-{
-    PartitionedScheduler sched(1, PartitionedScheduler::Mode::Ordered);
-    EventQueue &eq = sched.queue(0);
-    long fired = 0, sink = 0;
-    // Warm as benchEventQueueNew does, then best-of-reps. run() goes
-    // through the scheduler so the delegation path is what's timed.
-    {
-        ChurnDriver<EventQueue> d{eq, quota / 16 + 1};
-        for (int i = 0; i < kChurnChains; ++i)
-            d.next();
-        sched.run();
-        sink += d.sink;
-    }
-    double best = 0;
-    for (int rep = 0; rep < kChurnReps; ++rep) {
-        ChurnDriver<EventQueue> d{eq, quota};
-        auto start = Clock::now();
-        for (int i = 0; i < kChurnChains; ++i)
-            d.next();
-        sched.run();
-        double secs = secondsSince(start);
-        if (d.fired < quota)
-            std::abort();
-        fired += d.fired;
-        sink += d.sink;
-        best = std::max(best, double(d.fired) / secs);
-    }
-    if (sink == 0 || fired == 0)
-        std::abort();
-    return {"pdes_ordered_1p", best, "events/sec"};
-}
-
-/**
- * Parallel-mode driver: one churn chain set per partition, with every
- * 32nd event sending a minimal-latency message to the next partition
- * — partition-confined state, mesh64-shaped lookahead, the workload
- * the epoch/mailbox machinery is built for.
- */
-struct PdesChainDriver {
-    PartitionedScheduler *sched = nullptr;
-    PdesChainDriver *base = nullptr; // drivers[0] of a stable array
-    unsigned p = 0;
-    long quota = 0;
-    long fired = 0;
-    long received = 0;
-    unsigned delay = 0;
-
-    void
-    next()
-    {
-        delay = (delay + 11) % 97;
-        sched->queue(p).scheduleIn(Cycle(delay) + 1, [this] { fire(); });
-    }
-
-    void
-    fire()
-    {
-        ++fired;
-        if (fired >= quota)
-            return;
-        if ((fired & 31) == 7 && sched->partitions() > 1) {
-            unsigned dst = (p + 1) % sched->partitions();
-            PdesChainDriver *peer = base + dst;
-            Cycle at = sched->queue(p).now() +
-                       sched->plan().lookaheadBetween(p, dst);
-            // The delivered event runs on dst's executor and touches
-            // only dst's driver — partition-confined by construction.
-            sched->send(p, dst, at, [peer] { ++peer->received; });
-        }
-        next();
-    }
-};
-
-/**
- * Events/sec of the parallel epoch scheduler at @p partitions over a
- * mesh64-shaped plan (8x8 mesh, numa16's 32-cycle hops). Scaling with
- * the partition count needs real hardware threads; on a 1-core
- * container the numbers document overhead, not speedup.
- */
-BenchResult
-benchPdesParallel(unsigned partitions, long quota_per_partition,
-                  std::uint64_t *epochs_out, std::uint64_t *msgs_out)
-{
-    noc::Mesh2D mesh(8, 8);
-    PartitionPlan plan = PartitionPlan::build(
-        partitions, mesh.numNodes(), [&mesh](unsigned a, unsigned b) {
-            return mesh.minMsgCycles(a, b, 32);
-        });
-
-    PartitionedScheduler sched(partitions,
-                               PartitionedScheduler::Mode::Parallel);
-    sched.setPlan(plan);
-
-    std::vector<PdesChainDriver> drivers(partitions);
-    for (unsigned p = 0; p < partitions; ++p) {
-        drivers[p].sched = &sched;
-        drivers[p].base = drivers.data();
-        drivers[p].p = p;
-        drivers[p].quota = quota_per_partition;
-    }
-
-    auto start = Clock::now();
-    for (unsigned p = 0; p < partitions; ++p) {
-        for (int c = 0; c < kChurnChains / int(partitions) + 1; ++c)
-            drivers[p].next();
-    }
-    sched.run();
-    double secs = secondsSince(start);
-
-    long fired = 0;
-    for (const PdesChainDriver &d : drivers) {
-        if (d.fired < d.quota)
-            std::abort();
-        fired += d.fired;
-    }
-    *epochs_out = sched.epochs();
-    *msgs_out = sched.messagesDelivered();
-    return {"pdes_scaling_" + std::to_string(partitions) + "p",
-            double(fired) / secs, "events/sec"};
-}
-
-// --------------------------------------------------------------------
 // Result-cache hot path (DESIGN.md §10)
 // --------------------------------------------------------------------
 
@@ -1112,51 +965,6 @@ benchCacheMetrics(bool short_mode, long long *key_allocs_out)
     return out;
 }
 
-/**
- * --pdes-point mode: run one fig9-style point and one mesh64 synthetic
- * point at the requested partition count and print every determinism
- * oracle (execTime, memStateHash, access counts). The CI
- * pdes-determinism step diffs this output across --partitions values.
- */
-int
-pdesPointReport(unsigned partitions, mem::CoreModelKind core)
-{
-    apps::AppParams app = apps::tree();
-    app.numTasks = 96;
-    app.instrPerTask = 6000;
-    tls::SchemeConfig scheme{tls::Separation::MultiTMV,
-                             tls::Merging::LazyAMM, false};
-    mem::MachineParams numa = mem::MachineParams::numa16();
-    mem::MachineParams mesh64 = mem::MachineParams::mesh(64);
-    numa.coreModel = mesh64.coreModel = core;
-    tls::RunResult fig9 =
-        sim::runScheme(app, scheme, numa, {}, partitions);
-    std::printf("fig9point exec=%llu memhash=%016llx lines=%llu "
-                "loads=%llu stores=%llu squashes=%llu\n",
-                (unsigned long long)fig9.execTime,
-                (unsigned long long)fig9.memStateHash,
-                (unsigned long long)fig9.memStateLines,
-                (unsigned long long)fig9.counters.get("loads"),
-                (unsigned long long)fig9.counters.get("stores"),
-                (unsigned long long)fig9.squashEvents);
-
-    apps::SynthSpec spec;
-    if (!apps::SynthSpec::parse("kind=graph,tasks=96,conflict=0.2",
-                                &spec))
-        std::abort();
-    tls::RunResult synth =
-        sim::runSynthScheme(spec, scheme, mesh64, {}, partitions);
-    std::printf("mesh64point exec=%llu memhash=%016llx lines=%llu "
-                "loads=%llu stores=%llu squashes=%llu\n",
-                (unsigned long long)synth.execTime,
-                (unsigned long long)synth.memStateHash,
-                (unsigned long long)synth.memStateLines,
-                (unsigned long long)synth.counters.get("loads"),
-                (unsigned long long)synth.counters.get("stores"),
-                (unsigned long long)synth.squashEvents);
-    return 0;
-}
-
 void
 writeJson(const std::vector<BenchResult> &results, const char *path)
 {
@@ -1182,54 +990,18 @@ int
 benchMain(int argc, char **argv)
 {
     bool short_mode = false;
-    bool pdes_point = false;
     const char *out = "BENCH_hotpath.json";
-    const char *pdes_csv = nullptr;
-    unsigned partitions_flag = 0;
-    mem::CoreModelKind core = mem::CoreModelKind::InOrder;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--short") == 0) {
             short_mode = true;
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out = argv[++i];
-        } else if (std::strcmp(argv[i], "--pdes-point") == 0) {
-            pdes_point = true;
-        } else if (std::strncmp(argv[i], "--pdes-csv=", 11) == 0) {
-            pdes_csv = argv[i] + 11;
-        } else if (std::strcmp(argv[i], "--pdes-csv") == 0 &&
-                   i + 1 < argc) {
-            pdes_csv = argv[++i];
-        } else if (std::strncmp(argv[i], "--partitions=", 13) == 0) {
-            partitions_flag = unsigned(std::atol(argv[i] + 13));
-        } else if (std::strcmp(argv[i], "--partitions") == 0 &&
-                   i + 1 < argc) {
-            partitions_flag = unsigned(std::atol(argv[++i]));
-        } else if (std::strncmp(argv[i], "--core=", 7) == 0 ||
-                   (std::strcmp(argv[i], "--core") == 0 &&
-                    i + 1 < argc)) {
-            const char *v = argv[i][6] == '=' ? argv[i] + 7 : argv[++i];
-            if (!mem::parseCoreModelName(v, &core)) {
-                std::fprintf(stderr,
-                             "--core wants 'inorder' or 'ooo', got "
-                             "'%s'\n",
-                             v);
-                return 2;
-            }
         } else {
             std::fprintf(stderr,
-                         "usage: bench_hotpath [--short] [--out FILE] "
-                         "[--pdes-csv FILE] [--core inorder|ooo] "
-                         "[--pdes-point [--partitions N]]\n");
+                         "usage: bench_hotpath [--short] [--out FILE]\n");
             return 2;
         }
     }
-
-    // --pdes-point: determinism-oracle mode for the CI pdes-determinism
-    // step; prints two points and exits without benchmarking. --core=ooo
-    // makes the same oracles cover the out-of-order core model.
-    if (pdes_point)
-        return pdesPointReport(resolvePartitionCount(partitions_flag),
-                               core);
 
     const long event_quota = short_mode ? 300'000 : 4'000'000;
     const long counter_iters = short_mode ? 2'000'000 : 50'000'000;
@@ -1273,69 +1045,6 @@ benchMain(int argc, char **argv)
     long long key_allocs = 0;
     for (BenchResult &r : benchCacheMetrics(short_mode, &key_allocs))
         results.push_back(r);
-
-    // Partitioned-PDES scheduler (DESIGN.md §9). The 1-partition ratio
-    // compares the scheduler's delegation path against the raw
-    // EventQueue on the identical churn workload — both sides run the
-    // same kernel, so the true ratio is 1.0 and the gate below only
-    // needs a measurement-noise floor. Deliberately *not* named
-    // `_speedup`: the blanket >= 1.0 gate would flake on a
-    // same-code-both-sides comparison.
-    BenchResult pdes1 = benchPdesOrdered1p(event_quota);
-    results.push_back(pdes1);
-    results.push_back(
-        {"pdes_1p_ratio", pdes1.metric / ev_new.metric, "x"});
-
-    // Parallel-mode scaling over a mesh64-shaped plan. Real speedup
-    // needs hardware threads; the row set is the input to
-    // tools/pdes_scale.py and the CI scaling artifact either way. The
-    // host's core count is recorded next to the rows so a reader of
-    // BENCH_hotpath.json can tell scaling from contention — and on a
-    // single-core host the multi-partition rows are skipped outright:
-    // 2/4/8 epoch workers time-slicing one core measure scheduling
-    // noise, which used to read as a PDES regression.
-    const unsigned hw = std::thread::hardware_concurrency();
-    results.push_back(
-        {"hardware_concurrency", double(hw ? hw : 1), "threads"});
-    std::vector<unsigned> pdes_partitions = {1u, 2u, 4u, 8u};
-    if (hw <= 1) {
-        std::fprintf(stderr,
-                     "bench_hotpath: 1 hardware thread — emitting only "
-                     "the 1-partition PDES row; multi-partition scaling "
-                     "is meaningless without cores to scale onto\n");
-        pdes_partitions = {1u};
-    }
-    const long pdes_quota = event_quota / 8;
-    std::FILE *csv = nullptr;
-    if (pdes_csv) {
-        csv = std::fopen(pdes_csv, "w");
-        if (!csv) {
-            std::fprintf(stderr, "bench_hotpath: cannot write %s\n",
-                         pdes_csv);
-            return 1;
-        }
-        std::fprintf(csv, "partitions,events_per_sec,epochs,messages\n");
-    }
-    for (unsigned p : pdes_partitions) {
-        std::uint64_t epochs = 0, msgs = 0;
-        BenchResult r = benchPdesParallel(p, pdes_quota, &epochs, &msgs);
-        if (p > 1 && msgs == 0) {
-            std::fprintf(stderr,
-                         "bench_hotpath: pdes scaling at %u partitions "
-                         "delivered no cross-partition messages\n",
-                         p);
-            return 1;
-        }
-        results.push_back(r);
-        if (csv)
-            std::fprintf(csv, "%u,%.6g,%llu,%llu\n", p, r.metric,
-                         (unsigned long long)epochs,
-                         (unsigned long long)msgs);
-    }
-    if (csv) {
-        std::fclose(csv);
-        std::fprintf(stderr, "pdes scaling csv -> %s\n", pdes_csv);
-    }
 
     // Functional guards (CI runs these through the --short CTest
     // target): the fast paths must be allocation-free at steady state.
@@ -1385,18 +1094,6 @@ benchMain(int argc, char **argv)
                          "bench_hotpath: %s regressed below 1.0x "
                          "(%.3f)\n",
                          r.bench.c_str(), r.metric);
-            return 1;
-        }
-        // The PDES 1-partition no-regression gate: the scheduler's
-        // P == 1 path delegates straight to EventQueue::run, so any
-        // real overhead shows up here. 0.97 is the measurement-noise
-        // floor for a same-kernel-both-sides best-of-3 comparison.
-        if (r.bench == "pdes_1p_ratio" && r.metric < 0.97) {
-            std::fprintf(stderr,
-                         "bench_hotpath: pdes_1p_ratio below the 0.97 "
-                         "noise floor (%.3f) — the 1-partition "
-                         "scheduler path regressed\n",
-                         r.metric);
             return 1;
         }
     }

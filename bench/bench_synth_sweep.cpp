@@ -39,7 +39,6 @@ struct Options {
     bool quick = false;
     bool validate = false;
     unsigned threads = 0;
-    unsigned partitions = 0;
     std::vector<std::string> machines = {"numa16", "mesh64", "cmp32"};
     std::string csvPath;
     fault::FaultSpec faults;
@@ -51,7 +50,6 @@ parseOptions(int argc, char **argv)
 {
     Options opt;
     opt.threads = bench::parseThreads(argc, argv);
-    opt.partitions = bench::parsePartitions(argc, argv);
     opt.faults = bench::parseFaults(argc, argv);
     opt.core = bench::parseCoreModel(argc, argv);
     for (int i = 1; i < argc; ++i) {
@@ -206,8 +204,7 @@ main(int argc, char **argv)
         machine.coreModel = opt.core;
 
         std::vector<sim::SynthStudy> studies = sim::runSynthSweep(
-            specs, schemes, machine, opt.threads, opt.faults,
-            opt.partitions);
+            specs, schemes, machine, opt.threads, opt.faults);
 
         TextTable table({"Kind", "Scheme", "Speedup", "Cost KB",
                          "Pareto", "Squashes"});
@@ -279,8 +276,7 @@ main(int argc, char **argv)
                 vp_schemes.push_back(s.withValidation(
                     tls::Validation::PredictValidate));
             std::vector<sim::SynthStudy> vp = sim::runSynthSweep(
-                specs, vp_schemes, machine, opt.threads, opt.faults,
-                opt.partitions);
+                specs, vp_schemes, machine, opt.threads, opt.faults);
 
             TextTable vt({"Kind", "Scheme", "Speedup", "+VP",
                           "Delta %", "Pred", "Mispred"});

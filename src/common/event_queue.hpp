@@ -56,8 +56,8 @@ class EventQueue
 
     EventQueue() = default;
 
-    // Not relocatable: seqPtr_ may point into this object, and
-    // consumers hold nowPtr() for the queue's lifetime.
+    // Not relocatable: consumers hold nowPtr() for the queue's
+    // lifetime.
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -71,52 +71,6 @@ class EventQueue
      * queue is alive.
      */
     const Cycle *nowPtr() const { return &now_; }
-
-    /**
-     * Advance the clock to @p t without executing anything. Used by
-     * the partitioned scheduler's ordered merge: before an event fires
-     * on one partition queue, every *other* queue's clock is synced to
-     * the event time so consumers holding a queue reference (cores,
-     * the tracer) read the global simulated time. Never moves the
-     * clock backwards.
-     */
-    void
-    syncTo(Cycle t)
-    {
-        if (t > now_)
-            now_ = t;
-    }
-
-    /**
-     * Bind the scheduling-sequence counter to external storage shared
-     * by several queues. In the partitioned scheduler's ordered mode
-     * every partition queue draws tie-break sequence numbers from one
-     * shared counter, so the merged (when, seq) execution order is the
-     * exact total order a single serial queue would produce. Pass
-     * nullptr to rebind the queue's own counter. The pointed-to
-     * counter must outlive the binding and must start >= 1.
-     */
-    void
-    bindSequence(std::uint64_t *seq)
-    {
-        seqPtr_ = seq ? seq : &nextSeq_;
-    }
-
-    /**
-     * Peek the earliest live event without executing it.
-     * @return false if the queue is empty; otherwise fills
-     *         (when, seq) of the head — the merge key of the
-     *         partitioned scheduler.
-     */
-    bool
-    peekHead(Cycle *when, std::uint64_t *seq) const
-    {
-        if (heap_.empty())
-            return false;
-        *when = heap_[0].when();
-        *seq = std::uint64_t(heap_[0].key);
-        return true;
-    }
 
     /**
      * Schedule @p fn to run at absolute cycle @p when.
@@ -143,19 +97,6 @@ class EventQueue
     scheduleIn(Cycle delta, F &&fn)
     {
         return schedule(now_ + delta, std::forward<F>(fn));
-    }
-
-    /**
-     * Schedule an already-built Callback (the mailbox delivery path of
-     * the partitioned scheduler — InlineFunction cannot nest, so a
-     * moved-in callback is assigned rather than re-wrapped).
-     */
-    EventId
-    scheduleCallback(Cycle when, Callback fn)
-    {
-        EventId id = scheduleKey(when);
-        slab_[std::uint32_t(id & 0xffffffffu) - 1].fn = std::move(fn);
-        return id;
     }
 
     /** Cancel a previously scheduled event. Safe to call twice. */
@@ -191,26 +132,6 @@ class EventQueue
         while (!heap_.empty() && heap_[0].when() <= maxCycle)
             step();
         return now_;
-    }
-
-    /**
-     * Run events strictly below @p horizon (exclusive, unlike run()'s
-     * inclusive bound): the epoch body of the partitioned scheduler's
-     * parallel mode, where @p horizon is the partition's conservative
-     * lookahead limit and events *at* the horizon belong to the next
-     * epoch.
-     *
-     * @return the number of events executed.
-     */
-    std::size_t
-    runBelow(Cycle horizon)
-    {
-        std::size_t n = 0;
-        while (!heap_.empty() && heap_[0].when() < horizon) {
-            step();
-            ++n;
-        }
-        return n;
     }
 
     /** Pop and execute exactly one event. @return false if empty. */
@@ -305,7 +226,7 @@ class EventQueue
         std::uint32_t slot = acquireSlot();
         std::uint32_t pos = std::uint32_t(heap_.size());
         pos_[slot] = pos;
-        heap_.push_back(HeapEntry{makeKey(when, (*seqPtr_)++), slot});
+        heap_.push_back(HeapEntry{makeKey(when, nextSeq_++), slot});
         siftUp(pos);
         return (EventId(slab_[slot].gen) << 32) | EventId(slot + 1);
     }
@@ -399,10 +320,6 @@ class EventQueue
     std::uint32_t freeHead_ = kNoSlot;
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 1;
-    /** Sequence source: &nextSeq_ unless bindSequence() rebinds it to
-     *  a counter shared across partition queues. Always valid, so the
-     *  schedule hot path stays branch-free. */
-    std::uint64_t *seqPtr_ = &nextSeq_;
     std::uint64_t executed_ = 0;
 };
 

@@ -25,35 +25,6 @@ resolveThreadCount(unsigned threads)
     return threads ? threads : defaultThreadCount();
 }
 
-unsigned
-defaultPartitionCount()
-{
-    if (const char *env = std::getenv("TLSIM_PARTITIONS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1)
-            return v > 256 ? 256u : unsigned(v);
-    }
-    return 1u;
-}
-
-unsigned
-resolvePartitionCount(unsigned partitions)
-{
-    return partitions ? partitions : defaultPartitionCount();
-}
-
-unsigned
-budgetedSweepThreads(unsigned threads, unsigned partitions)
-{
-    unsigned budget = resolveThreadCount(threads);
-    partitions = resolvePartitionCount(partitions);
-    if (partitions <= 1)
-        return budget;
-    unsigned clamped = budget / partitions;
-    return clamped ? clamped : 1u;
-}
-
 TaskPool::TaskPool(unsigned threads)
     : threads_(resolveThreadCount(threads))
 {

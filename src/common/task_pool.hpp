@@ -43,34 +43,6 @@ unsigned defaultThreadCount();
 unsigned resolveThreadCount(unsigned threads);
 
 /**
- * Partitions per simulation point (the partitioned-PDES scheduler)
- * when the caller does not say: the TLSIM_PARTITIONS environment
- * variable (clamped to [1, 256]) if set and parseable, otherwise 1.
- *
- * Precedence across the stack (documented contract, same shape as
- * threads): an explicit `--partitions` flag beats TLSIM_PARTITIONS,
- * which beats the default of 1. Unlike threads, the default is 1, not
- * the hardware concurrency — partitioning one point and fanning a
- * sweep out compete for the same cores, and the sweep's
- * embarrassingly parallel points win by default.
- */
-unsigned defaultPartitionCount();
-
-/** Resolve a partition count: 0 means defaultPartitionCount(). */
-unsigned resolvePartitionCount(unsigned partitions);
-
-/**
- * Shared thread budget between the two nesting levels of parallelism:
- * clamp a sweep's worker-thread count so that
- *     sweep threads x partitions per point <= budget
- * where the budget is resolveThreadCount(threads) — i.e. whatever the
- * caller/TLSIM_THREADS/hardware would have granted the sweep alone.
- * Never returns less than 1; with partitions <= 1 this is exactly
- * resolveThreadCount(threads), so existing callers are unchanged.
- */
-unsigned budgetedSweepThreads(unsigned threads, unsigned partitions);
-
-/**
  * Fixed-size pool of worker threads draining a FIFO job queue.
  *
  * Thread-safety: submit() and wait() may be called from the owning

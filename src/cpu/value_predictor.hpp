@@ -22,8 +22,7 @@
  *
  * Both structures are per-processor, allocation-free in steady state
  * (slab/flat storage like mem::UndoLog), and mutated only in simulated
- * event order, so results are byte-identical at any thread or
- * partition count.
+ * event order, so results are byte-identical at any thread count.
  */
 
 #ifndef TLSIM_CPU_VALUE_PREDICTOR_HPP

@@ -74,7 +74,6 @@ MachineParams::numa16()
     p.latRemote2Hop = 208;
     p.latRemote3Hop = 291;
     p.numBanks = 16; // one per node
-    p.nocHopCycles = 32; // (208 - 75) / 2 one-way crossings / ~2 hops
     p.occMemBank = 20;
     p.commitFixedCycles = 900;
     p.commitIssueGap = 8;
@@ -96,7 +95,6 @@ MachineParams::cmp8()
     p.latL3 = 38;
     p.latLocalMem = 102; // off-chip main memory
     p.numBanks = 8;      // on-chip directory/L3-tag banks
-    p.nocHopCycles = 9;  // half the 18-cycle other-L2 round trip
     p.occMemBank = 12;   // more bandwidth in the tightly coupled CMP
     p.occL3Bank = 8;
     p.loadHide = 8;
@@ -160,7 +158,6 @@ MachineParams::cmp32()
     p.latOtherL2 = 26;
     p.latL3 = 46;
     p.latLocalMem = 120;
-    p.nocHopCycles = 13; // half the stretched other-L2 round trip
     p.dirClusterNodes = 8;
     p.latDirCluster = 10;
     p.commitFixedCycles = 300;

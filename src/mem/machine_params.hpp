@@ -65,19 +65,6 @@ struct MachineParams {
     /** Number of directory/memory banks (CMP: 8 on-chip banks). */
     unsigned numBanks = 16;
 
-    /**
-     * Minimum one-way cycles per NoC hop — the PDES lookahead unit
-     * (Interconnect::minMsgCycles multiplies it by the structural hop
-     * distance; PartitionPlan turns that into epoch windows). Derived
-     * from the paper's round-trip table, *not* a new timing knob: the
-     * NUMA remote round trip adds ~133 cycles over local memory for
-     * two one-way mesh crossings (~2 hops each), giving ~32 cycles per
-     * hop; the CMP's other-L2 round trip (18 cycles) is two crossbar
-     * transits, ~9 cycles each. Conservative by construction — real
-     * messages are never faster (contention only adds).
-     */
-    Cycle nocHopCycles = 32;
-
     /** @name Hierarchical directory banking (scaled machines)
      *
      * Flat per-node directories stop scaling past a few dozen nodes:

@@ -37,17 +37,6 @@ class Crossbar : public Interconnect
     }
     void reset() override;
 
-    /**
-     * PDES lookahead: every distinct pair is one crossbar transit, so
-     * the minimum cross-partition latency is flat — one hop — however
-     * the partitions are cut.
-     */
-    Cycle
-    minMsgCycles(NodeId src, NodeId dst, Cycle hop_cycles) const override
-    {
-        return src == dst ? 0 : hop_cycles;
-    }
-
   private:
     std::vector<Resource> ports_;
 };

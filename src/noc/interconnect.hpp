@@ -53,22 +53,6 @@ class Interconnect
     /** Number of nodes attached. */
     virtual NodeId numNodes() const = 0;
 
-    /**
-     * Conservative lookahead extraction for the partitioned-PDES
-     * scheduler: the *minimum* number of cycles any message needs to
-     * get from @p src to @p dst, given a per-hop wire/router cost of
-     * @p hop_cycles. No contention, no occupancy — a lower bound by
-     * construction, which is exactly what a conservative epoch window
-     * must be. Topologies with a cheaper structural bound (the mesh's
-     * Manhattan distance, the crossbar's single hop) override this;
-     * the default multiplies the hop count.
-     */
-    virtual Cycle
-    minMsgCycles(NodeId src, NodeId dst, Cycle hop_cycles) const
-    {
-        return Cycle(hops(src, dst)) * hop_cycles;
-    }
-
     /** Clear all contention state. */
     virtual void reset() = 0;
 

@@ -31,18 +31,6 @@ class Mesh2D : public Interconnect
     NodeId numNodes() const override { return rows_ * cols_; }
     void reset() override;
 
-    /**
-     * PDES lookahead: hops() is already the Manhattan distance — the
-     * true minimum on a dimension-order-routed mesh — so the bound is
-     * distance x per-hop cost. Distant partitions therefore get
-     * proportionally *more* lookahead on bigger meshes.
-     */
-    Cycle
-    minMsgCycles(NodeId src, NodeId dst, Cycle hop_cycles) const override
-    {
-        return Cycle(hops(src, dst)) * hop_cycles;
-    }
-
     unsigned rows() const { return rows_; }
     unsigned cols() const { return cols_; }
 

@@ -140,7 +140,6 @@ foldMachine(KeyHasher &h, const mem::MachineParams &m)
     h.u64(m.occMemBank);
     h.u64(m.occL3Bank);
     h.u64(m.numBanks);
-    h.u64(m.nocHopCycles);
     h.u64(m.dirClusterNodes);
     h.u64(m.latDirCluster);
     h.u64(m.mtidCapacityLines);

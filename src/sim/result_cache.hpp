@@ -2,13 +2,13 @@
  * @file
  * Content-addressed, on-disk RunResult cache (DESIGN.md §10).
  *
- * PRs 1–7 made every simulation point a pure function of its
- * configuration: derived seeds, ordered-mode PDES and canonical sweep
+ * Every simulation point is a pure function of its configuration:
+ * derived seeds, one event queue per point and canonical sweep
  * aggregation mean the same point produces a byte-identical RunResult
- * at any thread or partition count. That is exactly the property that
- * makes results memoizable, and this layer exploits it: each point is
- * folded into a 128-bit PointKey and its full RunResult is persisted
- * under that key, so repeat and overlapping sweeps cost only the novel
+ * at any thread count. That is exactly the property that makes
+ * results memoizable, and this layer exploits it: each point is folded
+ * into a 128-bit PointKey and its full RunResult is persisted under
+ * that key, so repeat and overlapping sweeps cost only the novel
  * points.
  *
  * Key discipline (the whole correctness argument):
@@ -20,8 +20,8 @@
  *     (cmake/CodeVersion.cmake), so any source change invalidates
  *     every key;
  *   - anything that provably cannot change a RunResult stays out —
- *     sweep threads, PDES partition count, trace flags, reporting-only
- *     AppParams fields (paper* columns, Table 3 Level classes).
+ *     sweep threads, trace flags, reporting-only AppParams fields
+ *     (paper* columns, Table 3 Level classes).
  *
  * Store discipline: entries are one file per key, sharded by the top
  * key byte, written via temp-file + atomic rename (concurrent writers

@@ -60,7 +60,7 @@ AppStudy::busyShare(std::size_t idx) const
 tls::RunResult
 runScheme(const apps::AppParams &app, const tls::SchemeConfig &scheme,
           const mem::MachineParams &machine,
-          const fault::FaultSpec &faults, unsigned partitions)
+          const fault::FaultSpec &faults)
 {
     // The key folds the *caller's* fault spec; the derived per-point
     // fault seed below is a pure function of (faults.seed, app.seed),
@@ -73,7 +73,6 @@ runScheme(const apps::AppParams &app, const tls::SchemeConfig &scheme,
             cfg.scheme = scheme;
             cfg.machine = machine;
             cfg.faults = faults;
-            cfg.partitions = partitions;
             if (faults.anyEnabled()) {
                 // Identity-hash discipline (see derivePointSeed): the
                 // plan's streams depend only on (spec seed, workload
@@ -128,11 +127,11 @@ namespace {
 tls::RunResult
 runReplication(const apps::AppParams &app, const tls::SchemeConfig &scheme,
                const mem::MachineParams &machine, unsigned rep,
-               const fault::FaultSpec &faults, unsigned partitions)
+               const fault::FaultSpec &faults)
 {
     apps::AppParams varied = app;
     varied.seed = derivePointSeed(app.seed, app.name, scheme, rep);
-    return runScheme(varied, scheme, machine, faults, partitions);
+    return runScheme(varied, scheme, machine, faults);
 }
 
 /**
@@ -165,16 +164,11 @@ std::vector<AppStudy>
 runStudySweep(const std::vector<apps::AppParams> &apps,
               const std::vector<tls::SchemeConfig> &schemes,
               const mem::MachineParams &machine, unsigned replications,
-              unsigned threads, const fault::FaultSpec &faults,
-              unsigned partitions)
+              unsigned threads, const fault::FaultSpec &faults)
 {
     const unsigned reps = std::max(1u, replications);
     const std::size_t n_apps = apps.size();
     const std::size_t n_schemes = schemes.size();
-    // Shared thread budget: the sweep's fan-out shrinks when each
-    // point partitions internally, so sweep x partitions never
-    // oversubscribes the cores TLSIM_THREADS (or the hardware) grants.
-    const unsigned pool_threads = budgetedSweepThreads(threads, partitions);
 
     // Trace-stream identity of every point in this sweep. The ordinal
     // distinguishes repeated sweeps over the same (app, machine) pair
@@ -189,7 +183,7 @@ runStudySweep(const std::vector<apps::AppParams> &apps,
     std::vector<Cycle> seq_times(n_apps, 0);
     std::vector<tls::RunResult> runs(n_apps * n_schemes * reps);
 
-    TaskPool pool(pool_threads);
+    TaskPool pool(threads);
     for (std::size_t a = 0; a < n_apps; ++a) {
         pool.submit([&, a] {
             // Each job declares the (stream, rep) its records belong
@@ -210,7 +204,7 @@ runStudySweep(const std::vector<apps::AppParams> &apps,
                         std::uint8_t(rep));
                     runs[slot] =
                         runReplication(apps[a], schemes[s], machine, rep,
-                                       faults, partitions);
+                                       faults);
                 });
             }
         }
@@ -241,7 +235,7 @@ tls::RunResult
 runSynthScheme(const apps::SynthSpec &spec,
                const tls::SchemeConfig &scheme,
                const mem::MachineParams &machine,
-               const fault::FaultSpec &faults, unsigned partitions)
+               const fault::FaultSpec &faults)
 {
     return memoized(
         synthPointKey(spec, scheme, machine, faults,
@@ -252,7 +246,6 @@ runSynthScheme(const apps::SynthSpec &spec,
             cfg.scheme = scheme;
             cfg.machine = machine;
             cfg.faults = faults;
-            cfg.partitions = partitions;
             if (faults.anyEnabled())
                 cfg.faults.seed =
                     fault::deriveFaultSeed(faults.seed, spec.seed);
@@ -298,18 +291,17 @@ std::vector<SynthStudy>
 runSynthSweep(const std::vector<apps::SynthSpec> &specs,
               const std::vector<tls::SchemeConfig> &schemes,
               const mem::MachineParams &machine, unsigned threads,
-              const fault::FaultSpec &faults, unsigned partitions)
+              const fault::FaultSpec &faults)
 {
     const std::size_t n_specs = specs.size();
     const std::size_t n_schemes = schemes.size();
     const unsigned sweep_ordinal = trace::nextSweepOrdinal();
     const tls::BufferSizing sizing = bufferSizingOf(machine);
-    const unsigned pool_threads = budgetedSweepThreads(threads, partitions);
 
     std::vector<Cycle> seq_times(n_specs, 0);
     std::vector<tls::RunResult> runs(n_specs * n_schemes);
 
-    TaskPool pool(pool_threads);
+    TaskPool pool(threads);
     for (std::size_t i = 0; i < n_specs; ++i) {
         pool.submit([&, i] {
             trace::ScopedPoint point(
@@ -327,7 +319,7 @@ runSynthSweep(const std::vector<apps::SynthSpec> &specs,
                                     sweep_ordinal),
                     0);
                 runs[slot] = runSynthScheme(specs[i], schemes[s], machine,
-                                            faults, partitions);
+                                            faults);
             });
         }
     }
@@ -359,11 +351,10 @@ AppStudy
 runAppStudy(const apps::AppParams &app,
             const std::vector<tls::SchemeConfig> &schemes,
             const mem::MachineParams &machine, unsigned replications,
-            unsigned threads, const fault::FaultSpec &faults,
-            unsigned partitions)
+            unsigned threads, const fault::FaultSpec &faults)
 {
     return runStudySweep({app}, schemes, machine, replications, threads,
-                         faults, partitions)[0];
+                         faults)[0];
 }
 
 std::string

@@ -64,16 +64,11 @@ struct AppStudy {
  *        app's workload seed (deriveFaultSeed), so the fault draw is a
  *        pure function of (spec, point) and a faulted run pairs with
  *        the fault-free run of the same app seed.
- * @param partitions partitioned-PDES queues inside the point (0 =
- *        TLSIM_PARTITIONS env or 1; EngineConfig::partitions). The
- *        scheduler's ordered mode makes every output byte-identical
- *        at any value — the determinism matrix tests assert it.
  */
 tls::RunResult runScheme(const apps::AppParams &app,
                          const tls::SchemeConfig &scheme,
                          const mem::MachineParams &machine,
-                         const fault::FaultSpec &faults = {},
-                         unsigned partitions = 0);
+                         const fault::FaultSpec &faults = {});
 
 /** Simulate the sequential baseline (Tseq of the loop). */
 tls::RunResult runSequential(const apps::AppParams &app,
@@ -106,17 +101,12 @@ std::uint64_t derivePointSeed(std::uint64_t base_seed,
  * @param threads worker threads for the sweep; 0 = TLSIM_THREADS env
  *        or hardware concurrency, 1 = sequential. Results are
  *        identical for every value.
- * @param partitions partitions per point (see runScheme). The sweep's
- *        thread count is clamped so threads x partitions never
- *        exceeds the thread budget (budgetedSweepThreads) — the two
- *        nesting levels share one pool of cores.
  */
 AppStudy runAppStudy(const apps::AppParams &app,
                      const std::vector<tls::SchemeConfig> &schemes,
                      const mem::MachineParams &machine,
                      unsigned replications = 1, unsigned threads = 0,
-                     const fault::FaultSpec &faults = {},
-                     unsigned partitions = 0);
+                     const fault::FaultSpec &faults = {});
 
 /**
  * Run a whole figure sweep: every app under every scheme, plus each
@@ -132,8 +122,7 @@ runStudySweep(const std::vector<apps::AppParams> &apps,
               const std::vector<tls::SchemeConfig> &schemes,
               const mem::MachineParams &machine,
               unsigned replications = 1, unsigned threads = 0,
-              const fault::FaultSpec &faults = {},
-              unsigned partitions = 0);
+              const fault::FaultSpec &faults = {});
 
 /** One scheme's results for one synthetic workload spec. */
 struct SynthOutcome {
@@ -163,8 +152,7 @@ struct SynthStudy {
 tls::RunResult runSynthScheme(const apps::SynthSpec &spec,
                               const tls::SchemeConfig &scheme,
                               const mem::MachineParams &machine,
-                              const fault::FaultSpec &faults = {},
-                              unsigned partitions = 0);
+                              const fault::FaultSpec &faults = {});
 
 /** Sequential baseline of one synthetic spec. */
 tls::RunResult runSynthSequential(const apps::SynthSpec &spec,
@@ -183,8 +171,7 @@ std::vector<SynthStudy>
 runSynthSweep(const std::vector<apps::SynthSpec> &specs,
               const std::vector<tls::SchemeConfig> &schemes,
               const mem::MachineParams &machine, unsigned threads = 0,
-              const fault::FaultSpec &faults = {},
-              unsigned partitions = 0);
+              const fault::FaultSpec &faults = {});
 
 /**
  * Render a figure-9/10/11-style table: one row per (app, scheme) with

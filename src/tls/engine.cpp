@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "common/log.hpp"
-#include "common/task_pool.hpp"
 #include "common/trace.hpp"
 #include "cpu/ooo_core.hpp"
 #include "mem/geometry.hpp"
@@ -58,15 +57,6 @@ bindTraceContext(const EngineConfig &cfg, const EventQueue &eq)
 SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
                                      Workload &workload)
     : cfg_(cfg), workload_(workload),
-      // Ordered mode: any partition count is byte-identical to the
-      // serial engine (shared tie-break sequence, k-way merge). The
-      // sequential baseline is one queue by definition.
-      sched_(cfg.sequential
-                 ? 1u
-                 : std::min(resolvePartitionCount(cfg.partitions),
-                            std::max(1u, cfg.machine.numProcs)),
-             PartitionedScheduler::Mode::Ordered),
-      eq_(sched_.queue(0)),
       memBanks_(cfg.machine.numBanks, cfg.machine.occMemBank),
       l3Banks_(cfg.machine.numBanks, cfg.machine.occL3Bank)
 {
@@ -107,23 +97,6 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
             clusterOfNode_[n] = n / m.dirClusterNodes;
     }
 
-    // Partition plan over the NoC nodes: contiguous blocks, pairwise
-    // lookahead from the topology's structural minimum message latency
-    // (Manhattan hops on the mesh, one transit on the crossbar). The
-    // ordered merge does not need the lookahead to be correct — it
-    // replays the serial total order — but the plan records the epoch
-    // windows a sharded protocol would get (DESIGN.md §9) and binds
-    // each core to its partition's queue.
-    {
-        const noc::Interconnect &net = *net_;
-        const Cycle hop = m.nocHopCycles;
-        sched_.setPlan(PartitionPlan::build(
-            sched_.partitions(), nodes,
-            [&net, hop](unsigned a, unsigned b) {
-                return net.minMsgCycles(a, b, hop);
-            }));
-    }
-
     cpu::CoreParams core_params;
     core_params.ipc = m.ipc;
     core_params.loadHide = m.loadHide;
@@ -140,14 +113,12 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
     oooActive_ = !cfg_.sequential &&
                  m.coreModel == mem::CoreModelKind::OutOfOrder;
     for (ProcId p = 0; p < m.numProcs; ++p) {
-        EventQueue &peq = sched_.queue(
-            sched_.plan().partitionOfNode(nodeOfProc_[p]));
         if (oooActive_)
             cores_.push_back(std::make_unique<cpu::OoOCore>(
-                p, peq, core_params, *this, *this));
+                p, eq_, core_params, *this, *this));
         else
             cores_.push_back(std::make_unique<cpu::Core>(
-                p, peq, core_params, *this, *this));
+                p, eq_, core_params, *this, *this));
         l1_.push_back(
             std::make_unique<mem::VersionedCache>(m.l1, false));
         l2_.push_back(std::make_unique<mem::VersionedCache>(
@@ -306,9 +277,7 @@ SpeculationEngine::run()
     else
         tryDispatchAll();
 
-    // Ordered k-way merge across the partition queues — the exact
-    // serial total order (one partition short-circuits to eq_.run()).
-    sched_.run();
+    eq_.run();
 
     if (!sectionDone_)
         panic("SpeculationEngine: event queue drained before the "

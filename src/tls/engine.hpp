@@ -16,7 +16,6 @@
 
 #include "common/event_queue.hpp"
 #include "common/fault.hpp"
-#include "common/partition.hpp"
 #include "common/stats.hpp"
 #include "cpu/core.hpp"
 #include "cpu/mem_if.hpp"
@@ -54,18 +53,6 @@ struct EngineConfig {
      * baseline has no speculation machinery to stress.
      */
     fault::FaultSpec faults;
-    /**
-     * Partitions of the partitioned-PDES scheduler (0 =
-     * TLSIM_PARTITIONS env or 1; see resolvePartitionCount). The
-     * machine is cut into contiguous NoC-node blocks, each with its
-     * own slab EventQueue; the engine drives them in *ordered* mode —
-     * a k-way merge with a shared tie-break sequence that reproduces
-     * the serial total order exactly, so every output (figures,
-     * traces, counters, memStateHash, fault RNG draws) is
-     * byte-identical at any partition count. Clamped to the machine's
-     * processor count; forced to 1 in sequential mode.
-     */
-    unsigned partitions = 0;
 };
 
 /**
@@ -115,15 +102,9 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     EngineConfig cfg_;
     Workload &workload_;
 
-    /**
-     * Partition queues + ordered k-way merge (see EngineConfig::
-     * partitions). Cores schedule on their partition's queue; the
-     * engine's own protocol events (commit chain, barriers, recovery)
-     * live on queue 0.
-     */
-    PartitionedScheduler sched_;
-    /** Queue 0 — the engine-global event queue and trace clock. */
-    EventQueue &eq_;
+    /** The simulated clock: cores, the engine's protocol events
+     *  (commit chain, barriers, recovery) and the trace clock. */
+    EventQueue eq_;
 
     /** Fault injector (inert unless cfg_.faults enables a site). */
     fault::FaultPlan faults_;
@@ -148,8 +129,8 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
      * Predict+Validate state (empty/idle under validation=None): one
      * value predictor per processor, seeded from the workload's point
      * seed, plus the engine-wide per-task validation log. Both are
-     * mutated only under the ordered-PDES total event order, so every
-     * output is byte-identical at any thread/partition count.
+     * mutated only in the event queue's total order, so every output
+     * is byte-identical at any sweep thread count.
      */
     std::vector<cpu::ValuePredictor> predictors_;
     cpu::ValidationLog vlog_;

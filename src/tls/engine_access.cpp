@@ -621,8 +621,7 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     // word must re-obtain their data before they may retire (the LSQ
     // half of the relaxed-order safety net; already-retired reads are
     // the detector's job above). The snoop is a synchronous mutation
-    // under the ordered-PDES total order, so it is deterministic at
-    // any partition count.
+    // in the event queue's total order, so it is deterministic.
     if (oooActive_) {
         for (ProcId q = 0; q < numProcs(); ++q)
             if (q != proc)

@@ -158,3 +158,22 @@ TEST(Integration, DifferentSeedsPerturbButComplete)
         sim::runScheme(app, scheme, mem::MachineParams::numa16());
     EXPECT_EQ(res.committedTasks, app.numTasks);
 }
+
+TEST(Integration, OooCoreChangesTimingButNotCommittedState)
+{
+    // The out-of-order core (docs/OOO_CORE.md) is a timing model: it
+    // must move execTime, never the committed memory image.
+    apps::AppParams app = apps::tree();
+    app.numTasks = 48;
+    app.instrPerTask = 3000;
+    tls::SchemeConfig scheme{tls::Separation::MultiTMV,
+                             tls::Merging::LazyAMM, false};
+    mem::MachineParams ooo = mem::MachineParams::numa16();
+    ooo.coreModel = mem::CoreModelKind::OutOfOrder;
+    tls::RunResult inorder =
+        sim::runScheme(app, scheme, mem::MachineParams::numa16());
+    tls::RunResult outoforder = sim::runScheme(app, scheme, ooo);
+    ASSERT_GT(outoforder.execTime, 0u);
+    EXPECT_NE(outoforder.execTime, inorder.execTime);
+    EXPECT_EQ(outoforder.memStateHash, inorder.memStateHash);
+}

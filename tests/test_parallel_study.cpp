@@ -2,7 +2,8 @@
  * @file
  * Tests for the TaskPool scheduler and the parallel sweep runner's
  * determinism contract: a fixed-seed Figure-9-style sweep must produce
- * byte-identical results at 1, 2 and 8 threads.
+ * byte-identical results at 1, 2 and 8 threads, with the in-order and
+ * the out-of-order core.
  */
 
 #include <gtest/gtest.h>
@@ -173,7 +174,7 @@ namespace {
 /** Small but non-trivial Figure-9-style sweep: two apps, the eager/
  *  lazy x separation grid, replicated. */
 std::vector<sim::AppStudy>
-miniFigure9(unsigned threads)
+miniFigure9(unsigned threads, const mem::MachineParams &machine)
 {
     apps::AppParams tree = apps::tree();
     tree.numTasks = 32;
@@ -188,8 +189,7 @@ miniFigure9(unsigned threads)
         {tls::Separation::MultiTMV, tls::Merging::EagerAMM, false},
         {tls::Separation::MultiTMV, tls::Merging::LazyAMM, false},
     };
-    return sim::runStudySweep({tree, euler}, schemes,
-                              mem::MachineParams::numa16(), 2, threads);
+    return sim::runStudySweep({tree, euler}, schemes, machine, 2, threads);
 }
 
 void
@@ -220,28 +220,40 @@ expectIdenticalResults(const tls::RunResult &a, const tls::RunResult &b)
 
 TEST(ParallelStudy, ByteIdenticalAcrossThreadCounts)
 {
-    std::vector<sim::AppStudy> base = miniFigure9(1);
-    std::string base_figure = sim::renderFigure("determinism", base);
+    // The OoO core snoops remote cores synchronously on every
+    // speculative store, so it gets its own pass over the contract.
+    mem::MachineParams ooo = mem::MachineParams::numa16();
+    ooo.coreModel = mem::CoreModelKind::OutOfOrder;
+    for (const mem::MachineParams &machine :
+         {mem::MachineParams::numa16(), ooo}) {
+        SCOPED_TRACE(machine.coreModel == mem::CoreModelKind::OutOfOrder
+                         ? "ooo"
+                         : "inorder");
+        std::vector<sim::AppStudy> base = miniFigure9(1, machine);
+        std::string base_figure = sim::renderFigure("determinism", base);
 
-    for (unsigned threads : {2u, 8u}) {
-        std::vector<sim::AppStudy> got = miniFigure9(threads);
-        ASSERT_EQ(got.size(), base.size()) << "threads=" << threads;
-        for (std::size_t a = 0; a < base.size(); ++a) {
-            EXPECT_EQ(got[a].seqTime, base[a].seqTime);
-            ASSERT_EQ(got[a].outcomes.size(), base[a].outcomes.size());
-            for (std::size_t s = 0; s < base[a].outcomes.size(); ++s) {
-                const sim::SchemeOutcome &x = base[a].outcomes[s];
-                const sim::SchemeOutcome &y = got[a].outcomes[s];
-                // Bitwise-equal doubles: summation order is fixed.
-                EXPECT_EQ(x.meanExecTime, y.meanExecTime);
-                EXPECT_EQ(x.meanSquashes, y.meanSquashes);
-                EXPECT_EQ(x.speedup, y.speedup);
-                expectIdenticalResults(x.result, y.result);
+        for (unsigned threads : {2u, 8u}) {
+            std::vector<sim::AppStudy> got = miniFigure9(threads, machine);
+            ASSERT_EQ(got.size(), base.size()) << "threads=" << threads;
+            for (std::size_t a = 0; a < base.size(); ++a) {
+                EXPECT_EQ(got[a].seqTime, base[a].seqTime);
+                ASSERT_EQ(got[a].outcomes.size(),
+                          base[a].outcomes.size());
+                for (std::size_t s = 0; s < base[a].outcomes.size();
+                     ++s) {
+                    const sim::SchemeOutcome &x = base[a].outcomes[s];
+                    const sim::SchemeOutcome &y = got[a].outcomes[s];
+                    // Bitwise-equal doubles: summation order is fixed.
+                    EXPECT_EQ(x.meanExecTime, y.meanExecTime);
+                    EXPECT_EQ(x.meanSquashes, y.meanSquashes);
+                    EXPECT_EQ(x.speedup, y.speedup);
+                    expectIdenticalResults(x.result, y.result);
+                }
             }
+            // The rendered figure table must match byte for byte.
+            EXPECT_EQ(sim::renderFigure("determinism", got), base_figure)
+                << "threads=" << threads;
         }
-        // The rendered figure table must match byte for byte.
-        EXPECT_EQ(sim::renderFigure("determinism", got), base_figure)
-            << "threads=" << threads;
     }
 }
 

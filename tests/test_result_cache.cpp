@@ -6,7 +6,7 @@
  * round-trips, every store failure mode (truncation, bit flips, stale
  * format versions — all must read as misses, never as data), the memo
  * layer in runScheme / runSynthScheme, --cache-verify, concurrent
- * writers on one key, and the serve loop's JSON protocol end to end.
+ * writers on one key.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "apps/app_suite.hpp"
 #include "common/fault.hpp"
 #include "sim/result_cache.hpp"
-#include "sim/serve.hpp"
 #include "sim/study.hpp"
 
 using namespace tlsim;
@@ -157,7 +155,7 @@ TEST(PointKey, EveryBehavioralFieldPerturbsTheKey)
 
 TEST(PointKey, ExecutionOnlyKnobsDoNotFeedTheKey)
 {
-    // Threads, partitions and trace settings are deliberately not
+    // Threads and trace settings are deliberately not
     // parameters of appPointKey/synthPointKey at all — the signature
     // is the contract. What CAN be checked: reporting-only AppParams
     // fields must not perturb the key.
@@ -527,140 +525,4 @@ TEST(MemoLayer, ShouldVerifyIsAPureFunctionOfTheKey)
     EXPECT_FALSE(cache.shouldVerify({1, 2}));
     cache.setVerifyFraction(1.0);
     EXPECT_TRUE(cache.shouldVerify({1, 2}));
-}
-
-// ---------------------------------------------------------------- serve
-
-namespace {
-
-/** Run one JSON request line through the serve loop with @p cache
- *  installed; returns the single response line. */
-std::string
-serveOne(const std::string &request, sim::ResultCache *cache)
-{
-    sim::setResultCache(cache);
-    std::istringstream in(request + "\n");
-    std::ostringstream out;
-    sim::ServeOptions opts;
-    opts.threads = 2;
-    EXPECT_EQ(sim::runServeLoop(in, out, opts), 1u);
-    sim::setResultCache(nullptr);
-    return out.str();
-}
-
-} // namespace
-
-TEST(ServeLoop, AnswersSweepRequestsAndTurnsWarm)
-{
-    ScratchDir dir;
-    sim::ResultCache cache(dir.path);
-    const std::string req =
-        R"({"id": "t1", "machine": "numa16", "apps": ["Tree"],)"
-        R"( "schemes": [4, 5], "baseline": true})";
-
-    const std::string cold = serveOne(req, &cache);
-    EXPECT_NE(cold.find("\"ok\": true"), std::string::npos);
-    EXPECT_NE(cold.find("\"id\": \"t1\""), std::string::npos);
-    EXPECT_NE(cold.find("\"cached\": false"), std::string::npos);
-    EXPECT_EQ(cold.find("\"cached\": true"), std::string::npos);
-    const auto hits_before = cache.stats().hits;
-    EXPECT_EQ(hits_before, 0u);
-
-    // Same request again: every point answered from the store, and the
-    // observable results (exec, memhash) are identical.
-    const std::string warm = serveOne(req, &cache);
-    EXPECT_NE(warm.find("\"cached\": true"), std::string::npos);
-    EXPECT_EQ(warm.find("\"cached\": false"), std::string::npos);
-    EXPECT_EQ(warm.find("\"misses\": 0") == std::string::npos, false);
-    EXPECT_GT(cache.stats().hits, 0u);
-
-    // exec/memhash fields must agree between cold and warm responses
-    // (strip the elapsed_ms + stats tail and the cached flags, which
-    // legitimately differ between the runs).
-    const auto strip = [](std::string s) {
-        s = s.substr(0, s.find("\"stats\""));
-        for (std::size_t p; (p = s.find("\"cached\": ")) !=
-                            std::string::npos;) {
-            const std::size_t e = s.find_first_of(",}", p);
-            s.erase(p, e - p);
-        }
-        return s;
-    };
-    EXPECT_EQ(strip(cold), strip(warm));
-}
-
-TEST(ServeLoop, SynthFaultsAndSchemeNames)
-{
-    ScratchDir dir;
-    sim::ResultCache cache(dir.path);
-    // Lazy AMM, not FMM: FMM squash-storms on the graph kind (tens of
-    // millions of simulated cycles), which is interesting for the
-    // Pareto sweep but far too slow for a unit test.
-    const std::string req =
-        R"({"machine": "cmp8", "synth": ["kind=graph,tasks=32"],)"
-        R"( "schemes": ["MultiT&MV Lazy AMM"], "faults": )"
-        R"("seed=9,squash=0.05:2"})";
-    const std::string resp = serveOne(req, &cache);
-    EXPECT_NE(resp.find("\"ok\": true"), std::string::npos)
-        << resp;
-    EXPECT_NE(resp.find("synth-graph"), std::string::npos) << resp;
-}
-
-TEST(ServeLoop, RejectsBadRequestsWithoutDying)
-{
-    ScratchDir dir;
-    sim::ResultCache cache(dir.path);
-    sim::setResultCache(&cache);
-    std::istringstream in("this is not json\n"
-                          "{\"machine\": \"nope\", \"apps\": [\"Tree\"]}\n"
-                          "{\"machine\": \"numa16\"}\n"
-                          "\n"
-                          "{\"machine\": \"numa16\", \"apps\": "
-                          "[\"NotAnApp\"]}\n");
-    std::ostringstream out;
-    EXPECT_EQ(sim::runServeLoop(in, out, {}), 4u);
-    sim::setResultCache(nullptr);
-
-    std::istringstream lines(out.str());
-    std::string line;
-    unsigned failures = 0;
-    while (std::getline(lines, line)) {
-        EXPECT_NE(line.find("\"ok\": false"), std::string::npos) << line;
-        ++failures;
-    }
-    EXPECT_EQ(failures, 4u);
-}
-
-TEST(ServeLoop, ReplicationsMatchBatchSweep)
-{
-    // The serve path must derive per-rep seeds exactly as runStudySweep
-    // does, so serve answers and batch sweeps share cache entries.
-    ScratchDir dir;
-    const apps::AppParams tree = [] {
-        for (const apps::AppParams &a : apps::appSuite())
-            if (a.name == "Tree")
-                return a;
-        return apps::AppParams{};
-    }();
-    ASSERT_EQ(tree.name, "Tree");
-
-    sim::ResultCache cache(dir.path);
-    sim::setResultCache(&cache);
-    std::vector<sim::AppStudy> studies = sim::runStudySweep(
-        {tree}, {lazyMv()}, mem::MachineParams::numa16(), 2, 2, {}, 0);
-    sim::setResultCache(nullptr);
-    ASSERT_EQ(studies.size(), 1u);
-    const auto stores_after_sweep = cache.stats().stores;
-    ASSERT_GT(stores_after_sweep, 0u);
-
-    const std::string resp = serveOne(
-        R"({"machine": "numa16", "apps": ["Tree"],)"
-        R"( "schemes": ["MultiT&MV Lazy AMM"], "reps": 2})",
-        &cache);
-    EXPECT_NE(resp.find("\"ok\": true"), std::string::npos) << resp;
-    // Every serve point was already in the store: 100% hits, no new
-    // stores.
-    EXPECT_NE(resp.find("\"misses\": 0"), std::string::npos) << resp;
-    EXPECT_EQ(resp.find("\"cached\": false"), std::string::npos) << resp;
-    EXPECT_EQ(cache.stats().stores, stores_after_sweep);
 }

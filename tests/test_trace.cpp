@@ -198,14 +198,16 @@ TEST_F(TraceTest, RingWrapDropsOldestAndCounts)
 namespace {
 
 trace::TraceFile
-traceTinyStudy(unsigned threads)
+traceTinyStudy(unsigned threads,
+               const mem::MachineParams &machine =
+                   mem::MachineParams::numa16(),
+               std::uint32_t mask = trace::kMaskAudit)
 {
     trace::reset();
     trace::Options opts;
-    opts.mask = trace::kMaskAudit;
+    opts.mask = mask;
     trace::start(opts);
-    sim::runAppStudy(tinyApp(), tinySchemes(),
-                     mem::MachineParams::numa16(), 2, threads);
+    sim::runAppStudy(tinyApp(), tinySchemes(), machine, 2, threads);
     trace::stop();
     trace::TraceFile file = trace::drainFile();
     trace::reset();
@@ -218,15 +220,36 @@ TEST(TraceParallelStudy, TraceIsIdenticalAtAnyThreadCount)
 {
     if (!trace::builtIn())
         GTEST_SKIP() << "built with TLSIM_TRACE=OFF";
-    trace::TraceFile one = traceTinyStudy(1);
-    trace::TraceFile eight = traceTinyStudy(8);
-    ASSERT_GT(one.records.size(), 0u);
-    EXPECT_EQ(one.dropped, 0u);
-    EXPECT_EQ(eight.dropped, 0u);
-    ASSERT_EQ(one.records.size(), eight.records.size());
-    EXPECT_TRUE(std::equal(one.records.begin(), one.records.end(),
-                           eight.records.begin()))
-        << "drained trace depends on the pool thread count";
+    mem::MachineParams ooo = mem::MachineParams::numa16();
+    ooo.coreModel = mem::CoreModelKind::OutOfOrder;
+    const struct {
+        mem::MachineParams machine;
+        std::uint32_t mask;
+    } inputs[] = {
+        {mem::MachineParams::numa16(), trace::kMaskAudit},
+        // The OoO core's per-op issue/retire/replay records are the
+        // finest-grained observable of its event order.
+        {ooo, trace::kMaskAudit | trace::kMaskCore},
+    };
+    for (const auto &in : inputs) {
+        trace::TraceFile one = traceTinyStudy(1, in.machine, in.mask);
+        trace::TraceFile eight = traceTinyStudy(8, in.machine, in.mask);
+        ASSERT_GT(one.records.size(), 0u);
+        EXPECT_EQ(one.dropped, 0u);
+        EXPECT_EQ(eight.dropped, 0u);
+        ASSERT_EQ(one.records.size(), eight.records.size());
+        EXPECT_TRUE(std::equal(one.records.begin(), one.records.end(),
+                               eight.records.begin()))
+            << "drained trace depends on the pool thread count (mask "
+            << in.mask << ")";
+        if (in.mask & trace::kMaskCore) {
+            EXPECT_TRUE(std::any_of(
+                one.records.begin(), one.records.end(),
+                [](const trace::Record &r) {
+                    return r.kind == std::uint8_t(trace::Kind::CoreIssue);
+                }));
+        }
+    }
 }
 
 // --------------------------------------------------------------------

@@ -3,7 +3,7 @@
  * Unit tests for the Predict+Validate machinery: the per-processor
  * last-value (last-producer) predictor, the slab-backed validation
  * log, and determinism of Predict+Validate runs across sweep-thread
- * and partition counts.
+ * counts.
  */
 
 #include <gtest/gtest.h>
@@ -160,7 +160,7 @@ namespace {
 
 /** One Predict+Validate sweep over the synth suite. */
 std::vector<sim::SynthStudy>
-pvSweep(unsigned threads, unsigned partitions)
+pvSweep(unsigned threads)
 {
     std::vector<tls::SchemeConfig> schemes;
     for (const tls::SchemeConfig &s :
@@ -170,15 +170,14 @@ pvSweep(unsigned threads, unsigned partitions)
     std::vector<apps::SynthSpec> specs =
         apps::synthSuite(24, 96, 0xfeed);
     return sim::runSynthSweep(specs, schemes,
-                              mem::MachineParams::numa16(), threads,
-                              {}, partitions);
+                              mem::MachineParams::numa16(), threads);
 }
 
 } // namespace
 
-TEST(ValuePredictor, SweepIsDeterministicAcrossThreadsAndPartitions)
+TEST(ValuePredictor, SweepIsDeterministicAcrossThreads)
 {
-    std::vector<sim::SynthStudy> base = pvSweep(1, 1);
+    std::vector<sim::SynthStudy> base = pvSweep(1);
     std::uint64_t predictions = 0;
     for (const sim::SynthStudy &study : base)
         for (const sim::SynthOutcome &out : study.outcomes)
@@ -188,27 +187,22 @@ TEST(ValuePredictor, SweepIsDeterministicAcrossThreadsAndPartitions)
     // comparisons below are vacuous.
     EXPECT_GT(predictions, 0u);
 
-    for (auto [threads, partitions] :
-         {std::pair<unsigned, unsigned>{4, 1}, {1, 4}, {4, 4}}) {
-        std::vector<sim::SynthStudy> other =
-            pvSweep(threads, partitions);
-        ASSERT_EQ(other.size(), base.size());
-        for (std::size_t a = 0; a < base.size(); ++a) {
-            ASSERT_EQ(other[a].outcomes.size(),
-                      base[a].outcomes.size());
-            for (std::size_t s = 0; s < base[a].outcomes.size(); ++s) {
-                const tls::RunResult &x = base[a].outcomes[s].result;
-                const tls::RunResult &y = other[a].outcomes[s].result;
-                EXPECT_EQ(x.execTime, y.execTime)
-                    << base[a].outcomes[s].scheme.name();
-                EXPECT_EQ(x.memStateHash, y.memStateHash);
-                EXPECT_EQ(x.counters.get("value_predictions"),
-                          y.counters.get("value_predictions"));
-                EXPECT_EQ(x.counters.get("value_mispredicts"),
-                          y.counters.get("value_mispredicts"));
-                EXPECT_EQ(x.counters.get("value_validations"),
-                          y.counters.get("value_validations"));
-            }
+    std::vector<sim::SynthStudy> other = pvSweep(4);
+    ASSERT_EQ(other.size(), base.size());
+    for (std::size_t a = 0; a < base.size(); ++a) {
+        ASSERT_EQ(other[a].outcomes.size(), base[a].outcomes.size());
+        for (std::size_t s = 0; s < base[a].outcomes.size(); ++s) {
+            const tls::RunResult &x = base[a].outcomes[s].result;
+            const tls::RunResult &y = other[a].outcomes[s].result;
+            EXPECT_EQ(x.execTime, y.execTime)
+                << base[a].outcomes[s].scheme.name();
+            EXPECT_EQ(x.memStateHash, y.memStateHash);
+            EXPECT_EQ(x.counters.get("value_predictions"),
+                      y.counters.get("value_predictions"));
+            EXPECT_EQ(x.counters.get("value_mispredicts"),
+                      y.counters.get("value_mispredicts"));
+            EXPECT_EQ(x.counters.get("value_validations"),
+                      y.counters.get("value_validations"));
         }
     }
 }

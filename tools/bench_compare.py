@@ -4,8 +4,8 @@
 ``bench_hotpath --out`` emits a flat JSON array of
 ``{"bench", "metric", "unit", "value"}`` samples. The entries whose
 unit is ``"x"`` are machine-independent *ratios* (optimized-over-naive
-speedups and the parallel/sequential PDES ratio), so they are stable
-enough to gate CI on even though the absolute cycle counts are not.
+speedups), so they are stable enough to gate CI on even though the
+absolute cycle counts are not.
 
 This script fails (exit 1) when any tracked ratio in the current
 report falls more than ``--tolerance`` (default 10%) below the
