@@ -13,6 +13,10 @@
  * produced by the same build with the same flags, not remembered from
  * an old report.
  *
+ * Each A/B runs kTrialPairs interleaved trial pairs, alternating which
+ * side goes first; its `*_speedup` is the median of the per-pair
+ * ratios, so one trial disturbed by host load cannot flip the gate.
+ *
  * The binary also interposes global operator new/delete with a
  * counting wrapper and asserts the schedule and memory-access fast
  * paths perform zero allocations at steady state — the regression
@@ -157,6 +161,54 @@ secondsSince(Clock::time_point start)
 }
 
 /**
+ * Trial pairs per A/B. Each pair times one trial of each side back to
+ * back, so a host-load swing hits both sides of a pair alike; the
+ * gated ratio is the median over pairs, which a few disturbed pairs
+ * cannot move.
+ */
+constexpr int kTrialPairs = 7;
+
+/** One A/B: medians of each side's trial rates and of the pair ratios. */
+struct AbResult {
+    double newRate;
+    double legacyRate;
+    double speedup;
+};
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+/**
+ * Run kTrialPairs interleaved trial pairs; each trial returns a rate
+ * (higher is better). Which side runs first alternates from pair to
+ * pair, so neither side always inherits the other's cache state.
+ */
+template <typename NewTrial, typename LegacyTrial>
+AbResult
+interleavedPairs(NewTrial &&new_trial, LegacyTrial &&legacy_trial)
+{
+    std::vector<double> fresh, legacy, ratios;
+    for (int pair = 0; pair < kTrialPairs; ++pair) {
+        double n = 0, o = 0;
+        if (pair % 2 == 0) {
+            n = new_trial();
+            o = legacy_trial();
+        } else {
+            o = legacy_trial();
+            n = new_trial();
+        }
+        fresh.push_back(n);
+        legacy.push_back(o);
+        ratios.push_back(n / o);
+    }
+    return {median(fresh), median(legacy), median(ratios)};
+}
+
+/**
  * The simulator's schedule pattern, reproduced in steady state: every
  * core keeps about one outstanding event (so the queue holds O(#cores)
  * events, not thousands), each event reschedules its successor with a
@@ -222,50 +274,37 @@ eventChurn(Queue &eq, long quota, int chains, long &fired, long &sink)
 
 constexpr int kChurnChains = 64; // ~ one outstanding event per core
 
-/** Measured repetitions per queue; the best (minimum-time) repetition
- *  is reported, the standard estimator robust to machine jitter.
- *  Applied identically to both queues. */
-constexpr int kChurnReps = 3;
-
-BenchResult
-benchEventQueueNew(long quota, long long *allocs_out)
+/** Event kernel A/B in events/sec; the new queue's steady-state
+ *  allocations land in @p allocs_out. */
+AbResult
+benchEventQueue(long quota, long long *allocs_out)
 {
     EventQueue eq;
-    long fired = 0, sink = 0;
-    // Warm the slab and the heap arrays to steady-state capacity.
-    eventChurn(eq, quota / 16 + 1, kChurnChains, fired, sink);
-    long long allocs_before = g_allocCount.load();
-    double best = 0;
-    for (int rep = 0; rep < kChurnReps; ++rep) {
-        fired = 0;
-        double secs = eventChurn(eq, quota, kChurnChains, fired, sink);
+    LegacyEventQueue legacy;
+    long sink = 0;
+    // Warm the slabs and the heap arrays to steady-state capacity.
+    long warm = 0;
+    eventChurn(eq, quota / 16 + 1, kChurnChains, warm, sink);
+    eventChurn(legacy, quota / 16 + 1, kChurnChains, warm, sink);
+    *allocs_out = 0;
+    auto trial = [&](auto &queue) {
+        long fired = 0;
+        double secs = eventChurn(queue, quota, kChurnChains, fired, sink);
         if (fired < quota)
             std::abort(); // callbacks must actually have run
-        best = std::max(best, double(fired) / secs);
-    }
-    *allocs_out = g_allocCount.load() - allocs_before;
+        return double(fired) / secs;
+    };
+    AbResult r = interleavedPairs(
+        [&] {
+            long long before = g_allocCount.load();
+            double rate = trial(eq);
+            *allocs_out += g_allocCount.load() - before;
+            return rate;
+        },
+        [&] { return trial(legacy); });
     if (sink == 0)
         std::abort();
-    return {"event_queue_new", best, "events/sec"};
-}
-
-BenchResult
-benchEventQueueLegacy(long quota)
-{
-    LegacyEventQueue eq;
-    long fired = 0, sink = 0;
-    eventChurn(eq, quota / 16 + 1, kChurnChains, fired, sink);
-    double best = 0;
-    for (int rep = 0; rep < kChurnReps; ++rep) {
-        fired = 0;
-        double secs = eventChurn(eq, quota, kChurnChains, fired, sink);
-        if (fired < quota)
-            std::abort();
-        best = std::max(best, double(fired) / secs);
-    }
-    if (sink == 0)
-        std::abort();
-    return {"event_queue_legacy", best, "events/sec"};
+    return r;
 }
 
 /** ~30 live counters, like a speculation run; hit one deep in the
@@ -310,8 +349,9 @@ clobberMemory()
     asm volatile("" ::: "memory");
 }
 
-BenchResult
-benchCounterName(long iters)
+/** One trial of @p iters increments by name; incs/sec. */
+double
+counterTrialName(long iters)
 {
     CounterSet c = populatedCounters();
     auto start = Clock::now();
@@ -324,11 +364,13 @@ benchCounterName(long iters)
     double secs = secondsSince(start);
     if (c.get("versions_created") != std::uint64_t(iters))
         std::abort();
-    return {"counter_inc_name", double(iters) / secs, "incs/sec"};
+    return double(iters) / secs;
 }
 
-BenchResult
-benchCounterInterned(long iters, long long *allocs_out)
+/** One trial of @p iters increments by interned id; incs/sec. The
+ *  timed loop's allocations are added to @p allocs. */
+double
+counterTrialInterned(long iters, long long *allocs)
 {
     CounterSet c = populatedCounters();
     StatId id = c.intern("versions_created");
@@ -341,10 +383,10 @@ benchCounterInterned(long iters, long long *allocs_out)
         clobberMemory();
     }
     double secs = secondsSince(start);
-    *allocs_out = g_allocCount.load() - allocs_before;
+    *allocs += g_allocCount.load() - allocs_before;
     if (c.get(id) != std::uint64_t(iters))
         std::abort();
-    return {"counter_inc_interned", double(iters) / secs, "incs/sec"};
+    return double(iters) / secs;
 }
 
 // --------------------------------------------------------------------
@@ -769,45 +811,39 @@ struct AccessDriver {
     }
 };
 
-constexpr int kAccessReps = 3;
-
-BenchResult
-benchAccessPathNew(long ops, long long *allocs_out,
-                   std::uint64_t *checksum_out)
+/**
+ * Access-path A/B in accesses/sec. Both drivers replay the same access
+ * stream, so their checksums (@p sum_new, @p sum_legacy) must agree;
+ * the new side's steady-state allocations land in @p allocs_out.
+ */
+AbResult
+benchAccessPath(long ops, long long *allocs_out, std::uint64_t *sum_new,
+                std::uint64_t *sum_legacy)
 {
-    AccessDriver<NewMemState> d;
-    d.run(ops); // warm every table and slab to steady-state capacity
-    long long allocs_before = g_allocCount.load();
-    double best = 0;
-    for (int rep = 0; rep < kAccessReps; ++rep) {
+    AccessDriver<NewMemState> fresh;
+    AccessDriver<LegacyMemState> legacy;
+    // Warm every table and slab to steady-state capacity.
+    fresh.run(ops);
+    legacy.run(ops);
+    *allocs_out = 0;
+    auto trial = [ops](auto &driver) {
         auto start = Clock::now();
-        d.run(ops);
-        double secs = secondsSince(start);
-        best = std::max(best, double(ops) / secs);
-    }
-    *allocs_out = g_allocCount.load() - allocs_before;
-    *checksum_out = d.checksum;
-    if (d.checksum == 0)
+        driver.run(ops);
+        return double(ops) / secondsSince(start);
+    };
+    AbResult r = interleavedPairs(
+        [&] {
+            long long before = g_allocCount.load();
+            double rate = trial(fresh);
+            *allocs_out += g_allocCount.load() - before;
+            return rate;
+        },
+        [&] { return trial(legacy); });
+    *sum_new = fresh.checksum;
+    *sum_legacy = legacy.checksum;
+    if (fresh.checksum == 0)
         std::abort();
-    return {"access_path_new", best, "accesses/sec"};
-}
-
-BenchResult
-benchAccessPathLegacy(long ops, std::uint64_t *checksum_out)
-{
-    AccessDriver<LegacyMemState> d;
-    d.run(ops);
-    double best = 0;
-    for (int rep = 0; rep < kAccessReps; ++rep) {
-        auto start = Clock::now();
-        d.run(ops);
-        double secs = secondsSince(start);
-        best = std::max(best, double(ops) / secs);
-    }
-    *checksum_out = d.checksum;
-    if (d.checksum == 0)
-        std::abort();
-    return {"access_path_legacy", best, "accesses/sec"};
+    return r;
 }
 
 /**
@@ -1011,31 +1047,26 @@ benchMain(int argc, char **argv)
     long long sched_allocs = 0, inc_allocs = 0, access_allocs = 0;
     std::uint64_t access_sum_new = 0, access_sum_legacy = 0;
 
-    BenchResult ev_new = benchEventQueueNew(event_quota, &sched_allocs);
-    BenchResult ev_old = benchEventQueueLegacy(event_quota);
-    results.push_back(ev_new);
-    results.push_back(ev_old);
-    results.push_back(
-        {"event_queue_speedup", ev_new.metric / ev_old.metric, "x"});
+    AbResult ev = benchEventQueue(event_quota, &sched_allocs);
+    results.push_back({"event_queue_new", ev.newRate, "events/sec"});
+    results.push_back({"event_queue_legacy", ev.legacyRate, "events/sec"});
+    results.push_back({"event_queue_speedup", ev.speedup, "x"});
     results.push_back({"event_schedule_allocs", double(sched_allocs),
                        "allocs/steady-state-run"});
 
-    BenchResult cn_interned = benchCounterInterned(counter_iters,
-                                                   &inc_allocs);
-    BenchResult cn_name = benchCounterName(counter_iters);
-    results.push_back(cn_interned);
-    results.push_back(cn_name);
-    results.push_back({"counter_speedup",
-                       cn_interned.metric / cn_name.metric, "x"});
+    AbResult cn = interleavedPairs(
+        [&] { return counterTrialInterned(counter_iters, &inc_allocs); },
+        [&] { return counterTrialName(counter_iters); });
+    results.push_back({"counter_inc_interned", cn.newRate, "incs/sec"});
+    results.push_back({"counter_inc_name", cn.legacyRate, "incs/sec"});
+    results.push_back({"counter_speedup", cn.speedup, "x"});
 
-    BenchResult ap_new = benchAccessPathNew(access_quota, &access_allocs,
-                                            &access_sum_new);
-    BenchResult ap_old = benchAccessPathLegacy(access_quota,
-                                               &access_sum_legacy);
-    results.push_back(ap_new);
-    results.push_back(ap_old);
+    AbResult ap = benchAccessPath(access_quota, &access_allocs,
+                                  &access_sum_new, &access_sum_legacy);
+    results.push_back({"access_path_new", ap.newRate, "accesses/sec"});
     results.push_back(
-        {"access_path_speedup", ap_new.metric / ap_old.metric, "x"});
+        {"access_path_legacy", ap.legacyRate, "accesses/sec"});
+    results.push_back({"access_path_speedup", ap.speedup, "x"});
     results.push_back({"access_path_allocs", double(access_allocs),
                        "allocs/steady-state-run"});
 

@@ -15,9 +15,9 @@
  *  - tombstone-free deletion (backward shift), so lookup cost never
  *    degrades with erase-heavy workloads like squash cleanup;
  *  - steady-state insert/erase/find touch no allocator; growth only
- *    doubles the arrays, and freezeCapacity() turns any further growth
- *    into a hard panic — the enforcement hook for the hot path's
- *    no-allocation contract.
+ *    doubles the arrays, and limitCapacity() turns growth past a
+ *    ceiling into a hard panic — the enforcement hook for structures
+ *    that model finite hardware.
  *
  * Invalidation contract (differs from std::unordered_map!): any insert
  * or erase may move *other* entries; pointers returned by find() are
@@ -120,11 +120,23 @@ class FlatMap
     std::uint64_t growths() const noexcept { return growths_; }
 
     /**
-     * Forbid (true) or re-allow (false) growth. While frozen, an
-     * insert that would need to grow panics instead — the assert
-     * behind the steady-state no-allocation contract.
+     * Cap growth at the capacity reserve(@p n) would reach. Below the
+     * ceiling the table grows (and allocates) on demand; an insert
+     * that would grow past it panics ("frozen"), so the table holds
+     * exactly the entries a reserve(@p n)-sized one holds. 0 lifts
+     * the cap.
      */
-    void freezeCapacity(bool frozen) noexcept { frozen_ = frozen; }
+    void
+    limitCapacity(std::size_t n) noexcept
+    {
+        maxCap_ = 0;
+        if (n == 0)
+            return;
+        std::size_t cap = cap_ ? cap_ : kInitialCap;
+        while (cap - cap / 4 < n)
+            cap *= 2;
+        maxCap_ = cap;
+    }
 
     /** Value for @p key, or nullptr. Invalidated by insert/erase. */
     V *
@@ -380,10 +392,10 @@ class FlatMap
     void
     grow()
     {
-        if (frozen_)
-            panic("FlatMap: growth while capacity is frozen "
-                  "(steady-state no-allocation contract violated)");
         std::size_t new_cap = cap_ ? cap_ * 2 : kInitialCap;
+        if (maxCap_ != 0 && new_cap > maxCap_)
+            panic("FlatMap: growth past a frozen capacity ceiling "
+                  "(finite-structure contract violated)");
         std::uint8_t *old_dist = dist_;
         K *old_keys = keys_;
         V *old_vals = vals_;
@@ -435,9 +447,9 @@ class FlatMap
     void
     copyFrom(const FlatMap &other)
     {
+        maxCap_ = other.maxCap_;
         reserve(other.size_);
         other.forEach([this](const K &k, const V &v) { emplace(k, v); });
-        frozen_ = other.frozen_;
     }
 
     void
@@ -450,7 +462,7 @@ class FlatMap
         mask_ = other.mask_;
         size_ = other.size_;
         growths_ = other.growths_;
-        frozen_ = other.frozen_;
+        maxCap_ = other.maxCap_;
         other.dist_ = nullptr;
         other.keys_ = nullptr;
         other.vals_ = nullptr;
@@ -458,7 +470,7 @@ class FlatMap
         other.mask_ = 0;
         other.size_ = 0;
         other.growths_ = 0;
-        other.frozen_ = false;
+        other.maxCap_ = 0;
     }
 
     std::uint8_t *dist_ = nullptr; // 0 = empty, else probe distance + 1
@@ -468,7 +480,7 @@ class FlatMap
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
     std::uint64_t growths_ = 0;
-    bool frozen_ = false;
+    std::size_t maxCap_ = 0; // growth ceiling; 0 = unlimited
 };
 
 /**
@@ -492,10 +504,7 @@ class FlatSet
 
     void clear() noexcept { map_.clear(); }
     void reserve(std::size_t n) { map_.reserve(n); }
-    void freezeCapacity(bool frozen) noexcept
-    {
-        map_.freezeCapacity(frozen);
-    }
+    void limitCapacity(std::size_t n) noexcept { map_.limitCapacity(n); }
 
     template <typename Fn>
     void

@@ -1,5 +1,6 @@
 #include "mem/cache.hpp"
 
+#include <new>
 #include <string>
 
 #include "common/log.hpp"
@@ -9,7 +10,10 @@ namespace tlsim::mem {
 VersionedCache::VersionedCache(CacheGeometry geo, bool multi_version)
     : geo_(geo), multiVersion_(multi_version),
       setMask_(Addr(geo.numSets()) - 1),
-      frames_(std::size_t(geo.numSets()) * geo.assoc)
+      frames_(static_cast<CacheLineState *>(::operator new(
+          std::size_t(geo.numSets()) * geo.assoc *
+          sizeof(CacheLineState)))),
+      built_((std::size_t(geo.numSets()) + 63) / 64, 0)
 {
     unsigned sets = geo.numSets();
     if (sets == 0)
@@ -20,15 +24,20 @@ VersionedCache::VersionedCache(CacheGeometry geo, bool multi_version)
 }
 
 CacheLineState *
-VersionedCache::setBase(Addr line)
+VersionedCache::builtSet(Addr line)
 {
-    return &frames_[std::size_t(line & setMask_) * geo_.assoc];
+    std::size_t set = std::size_t(line & setMask_);
+    if (!isBuilt(set))
+        return nullptr;
+    return frames_.get() + set * geo_.assoc;
 }
 
 CacheLineState *
 VersionedCache::findVersion(Addr line, VersionTag version)
 {
-    CacheLineState *base = setBase(line);
+    CacheLineState *base = builtSet(line);
+    if (!base)
+        return nullptr;
     for (unsigned w = 0; w < geo_.assoc; ++w) {
         CacheLineState &f = base[w];
         if (f.valid && f.line == line && f.version == version)
@@ -40,21 +49,15 @@ VersionedCache::findVersion(Addr line, VersionTag version)
 CacheLineState *
 VersionedCache::findAnyOf(Addr line)
 {
-    CacheLineState *base = setBase(line);
+    CacheLineState *base = builtSet(line);
+    if (!base)
+        return nullptr;
     for (unsigned w = 0; w < geo_.assoc; ++w) {
         CacheLineState &f = base[w];
         if (f.valid && f.line == line)
             return &f;
     }
     return nullptr;
-}
-
-VersionedCache::FrameList
-VersionedCache::framesOf(Addr line)
-{
-    FrameList out;
-    forEachFrameOf(line, [&out](CacheLineState &f) { out.push_back(&f); });
-    return out;
 }
 
 int
@@ -74,7 +77,13 @@ VersionedCache::insert(const CacheLineState &want, Cycle now,
                        bool pin_speculative)
 {
     InsertResult result;
-    CacheLineState *base = setBase(want.line);
+    std::size_t set = std::size_t(want.line & setMask_);
+    CacheLineState *base = frames_.get() + set * geo_.assoc;
+    if (!isBuilt(set)) {
+        for (unsigned w = 0; w < geo_.assoc; ++w)
+            ::new (base + w) CacheLineState();
+        built_[set >> 6] |= std::uint64_t(1) << (set & 63);
+    }
 
     // Same (line, version) already resident: update in place.
     if (CacheLineState *hit = findVersion(want.line, want.version)) {
@@ -131,11 +140,13 @@ VersionedCache::insert(const CacheLineState &want, Cycle now,
 bool
 VersionedCache::canInsert(Addr line, bool pin_speculative)
 {
+    CacheLineState *base = builtSet(line);
+    if (!base)
+        return true; // a never-written set has only free frames
     if (findAnyOf(line) && !multiVersion_)
         return true; // replace-in-place path
     if (!pin_speculative)
         return true;
-    CacheLineState *base = setBase(line);
     for (unsigned w = 0; w < geo_.assoc; ++w) {
         if (evictClass(base[w]) != 3)
             return true;
@@ -144,41 +155,24 @@ VersionedCache::canInsert(Addr line, bool pin_speculative)
 }
 
 void
-VersionedCache::invalidate(CacheLineState *frame)
-{
-    if (frame)
-        frame->valid = false;
-}
-
-void
 VersionedCache::invalidateVersion(Addr line, VersionTag version)
 {
-    invalidate(findVersion(line, version));
-}
-
-void
-VersionedCache::invalidateAll()
-{
-    for (auto &f : frames_)
-        f.valid = false;
-}
-
-void
-VersionedCache::forEach(const std::function<void(CacheLineState &)> &fn)
-{
-    for (auto &f : frames_) {
-        if (f.valid)
-            fn(f);
-    }
+    if (CacheLineState *f = findVersion(line, version))
+        f->valid = false;
 }
 
 std::size_t
 VersionedCache::residentLines() const
 {
     std::size_t n = 0;
-    for (const auto &f : frames_) {
-        if (f.valid)
-            ++n;
+    const CacheLineState *frames = frames_.get();
+    for (std::size_t set = 0; set <= setMask_; ++set) {
+        if (!isBuilt(set))
+            continue;
+        for (unsigned w = 0; w < geo_.assoc; ++w) {
+            if (frames[set * geo_.assoc + w].valid)
+                ++n;
+        }
     }
     return n;
 }
@@ -187,7 +181,9 @@ unsigned
 VersionedCache::versionsResident(Addr line)
 {
     unsigned n = 0;
-    CacheLineState *base = setBase(line);
+    CacheLineState *base = builtSet(line);
+    if (!base)
+        return 0;
     for (unsigned w = 0; w < geo_.assoc; ++w) {
         if (base[w].valid && base[w].line == line)
             ++n;

@@ -12,11 +12,12 @@
 #ifndef TLSIM_MEM_CACHE_HPP
 #define TLSIM_MEM_CACHE_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <new>
 #include <vector>
 
-#include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "mem/geometry.hpp"
 #include "mem/version_tag.hpp"
@@ -60,6 +61,12 @@ struct InsertResult {
  * committed-dirty lines, speculative-dirty lines. The engine decides
  * what displacing each class means (silent drop, lazy merge via VCL,
  * spill to the overflow area, or an MTID-guarded write-back).
+ *
+ * Sets are built on first write: the frame array is allocated but not
+ * constructed, and one bit per set records whether insert() has
+ * constructed that set's frames. Lookups on a never-written set answer
+ * from the bit (nothing resident, every frame free) without touching
+ * frame memory, so a cache costs memory only for the sets a run uses.
  */
 class VersionedCache
 {
@@ -83,27 +90,6 @@ class VersionedCache
     CacheLineState *findAnyOf(Addr line);
 
     /**
-     * Pointers to every valid frame for @p line. A set holds at most
-     * `assoc` versions of one line, so the list stays inline (no heap
-     * allocation) for every geometry the studies use.
-     */
-    using FrameList = SmallVec<CacheLineState *, 8>;
-    FrameList framesOf(Addr line);
-
-    /** Apply @p fn to every valid frame of @p line (no allocation). */
-    template <typename Fn>
-    void
-    forEachFrameOf(Addr line, Fn &&fn)
-    {
-        CacheLineState *base = setBase(line);
-        for (unsigned w = 0; w < geo_.assoc; ++w) {
-            CacheLineState &f = base[w];
-            if (f.valid && f.line == line)
-                fn(f);
-        }
-    }
-
-    /**
      * Insert a line, choosing a victim if the set is full.
      *
      * @param want the new line contents (valid is forced true)
@@ -120,17 +106,8 @@ class VersionedCache
      */
     bool canInsert(Addr line, bool pin_speculative);
 
-    /** Invalidate one frame (no write-back; the engine handles data). */
-    void invalidate(CacheLineState *frame);
-
     /** Invalidate the frame holding (line, version), if resident. */
     void invalidateVersion(Addr line, VersionTag version);
-
-    /** Invalidate every frame. */
-    void invalidateAll();
-
-    /** Apply @p fn to every valid frame (mutation allowed). */
-    void forEach(const std::function<void(CacheLineState &)> &fn);
 
     /** Count of valid frames. */
     std::size_t residentLines() const;
@@ -139,12 +116,29 @@ class VersionedCache
     unsigned versionsResident(Addr line);
 
   private:
+    struct FreeFrames {
+        void operator()(CacheLineState *p) const noexcept
+        {
+            ::operator delete(p);
+        }
+    };
+
     CacheGeometry geo_;
     bool multiVersion_;
     Addr setMask_; // numSets - 1
-    std::vector<CacheLineState> frames_; // numSets * assoc
+    /** numSets * assoc frames of raw storage; a set's frames are
+     *  constructed by its first insert. */
+    std::unique_ptr<CacheLineState, FreeFrames> frames_;
+    /** One bit per set: set the first time insert() builds it. */
+    std::vector<std::uint64_t> built_;
 
-    CacheLineState *setBase(Addr line);
+    bool
+    isBuilt(std::size_t set) const
+    {
+        return (built_[set >> 6] >> (set & 63)) & 1;
+    }
+    /** @p line's set, or nullptr if that set was never written. */
+    CacheLineState *builtSet(Addr line);
     static int evictClass(const CacheLineState &frame);
 };
 

@@ -79,14 +79,14 @@ struct MachineParams {
     Cycle latDirCluster = 0;
     ///@}
 
-    /** @name Speculative-structure capacities (no-alloc contracts)
+    /** @name Speculative-structure capacities (hardware sizes)
      *
-     * Scaled machines size the MTID table, per-processor overflow
-     * areas and per-processor undo-log task directories up front and
-     * freeze them (FlatMap::freezeCapacity): running past a capacity
-     * is a loud panic, not a silent reallocation — the same
-     * enforcement the PR 3 hot path uses. 0 = grow on demand (the
-     * paper's small machines, where sizing is uninteresting). */
+     * Scaled machines cap the MTID table, per-processor overflow
+     * areas and per-processor undo-log task directories at these
+     * sizes (FlatMap::limitCapacity). The tables grow on demand up to
+     * the cap, which is still the hardware size: running past it is a
+     * loud panic, not a silent reallocation. 0 = no cap (the paper's
+     * small machines, where sizing is uninteresting). */
     ///@{
     std::size_t mtidCapacityLines = 0;
     std::size_t overflowCapacityPerProc = 0;

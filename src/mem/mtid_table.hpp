@@ -84,20 +84,12 @@ class MtidTable
     std::size_t taggedLines() const { return tags_.size(); }
 
     /**
-     * Size the tag store for @p lines entries and freeze it: the MTID
-     * table is a fixed hardware structure on the scaled machines, so
-     * outgrowing it must panic (no-alloc contract), never silently
-     * reallocate. 0 keeps the grow-on-demand behavior.
+     * Cap the tag store at @p lines entries: the MTID table is a
+     * fixed hardware structure on the scaled machines, so outgrowing
+     * it must panic, never silently reallocate. The store still grows
+     * on demand below the cap. 0 = no cap.
      */
-    void
-    reserveCapacity(std::size_t lines)
-    {
-        tags_.freezeCapacity(false);
-        if (lines > 0) {
-            tags_.reserve(lines);
-            tags_.freezeCapacity(true);
-        }
-    }
+    void limitCapacity(std::size_t lines) { tags_.limitCapacity(lines); }
 
     void
     clear()

@@ -68,20 +68,16 @@ class OverflowArea
     std::uint64_t pressuredSpills() const { return pressured_spills_; }
 
     /**
-     * Size the table for @p entries live lines and freeze it (scaled
-     * machines pre-size their overflow tag stores; exceeding them is a
-     * loud panic, see MtidTable::reserveCapacity). 0 = grow on demand.
-     * Distinct from setFaultCapacity: the fault knob only charges
-     * latency, this one bounds the table itself.
+     * Cap the table at @p entries live lines (scaled machines bound
+     * their overflow tag stores; exceeding them is a loud panic, see
+     * MtidTable::limitCapacity). 0 = no cap. Distinct from
+     * setFaultCapacity: the fault knob only charges latency, this one
+     * bounds the table itself.
      */
     void
-    reserveCapacity(std::size_t entries)
+    limitCapacity(std::size_t entries)
     {
-        entries_.freezeCapacity(false);
-        if (entries > 0) {
-            entries_.reserve(entries);
-            entries_.freezeCapacity(true);
-        }
+        entries_.limitCapacity(entries);
     }
 
     void clear();

@@ -105,21 +105,12 @@ class UndoLog
     Cycle lastRecoveryStress() const { return last_stress_; }
 
     /**
-     * Size the task directory for @p tasks concurrently-logged tasks
-     * and freeze it (the MHB of a scaled machine tracks a bounded
-     * in-flight window; exceeding it panics). The slab pool itself
-     * still recycles slots — only the directory is a frozen hardware
-     * structure. 0 = grow on demand.
+     * Cap the task directory at @p tasks concurrently-logged tasks
+     * (the MHB of a scaled machine tracks a bounded in-flight window;
+     * exceeding it panics). The slab pool itself still recycles slots
+     * — only the directory is a finite hardware structure. 0 = no cap.
      */
-    void
-    reserveTasks(std::size_t tasks)
-    {
-        slotOf_.freezeCapacity(false);
-        if (tasks > 0) {
-            slotOf_.reserve(tasks);
-            slotOf_.freezeCapacity(true);
-        }
-    }
+    void limitTasks(std::size_t tasks) { slotOf_.limitCapacity(tasks); }
 
     void clear();
 

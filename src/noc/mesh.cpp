@@ -55,25 +55,40 @@ Mesh2D::traverse(Cycle when, NodeId src, NodeId dst, MsgClass cls)
     Cycle t = when;
     Cycle delay = 0;
 
-    // X-first dimension-order routing.
+    // X-first dimension-order routing. Both ends' (row, col) are
+    // computed once and stepped along with cur: no division per hop.
+    auto hop = [&](NodeId from, int dir) {
+        Resource &l = link(from, dir);
+        Cycle d = l.acquire(t, occ);
+        if (faults_ != nullptr)
+            d += faults_->nocLinkFault(l, t + d);
+        delay += d;
+        t += d + occ;
+    };
     NodeId cur = src;
-    while (colOf(cur) != colOf(dst)) {
-        int dir = colOf(dst) > colOf(cur) ? kEast : kWest;
-        Cycle d = link(cur, dir).acquire(t, occ);
-        if (faults_ != nullptr)
-            d += faults_->nocLinkFault(link(cur, dir), t + d);
-        delay += d;
-        t += d + occ;
-        cur = dir == kEast ? cur + 1 : cur - 1;
+    unsigned col = colOf(src), row = rowOf(src);
+    const unsigned dst_col = colOf(dst), dst_row = rowOf(dst);
+    while (col != dst_col) {
+        if (dst_col > col) {
+            hop(cur, kEast);
+            ++col;
+            ++cur;
+        } else {
+            hop(cur, kWest);
+            --col;
+            --cur;
+        }
     }
-    while (rowOf(cur) != rowOf(dst)) {
-        int dir = rowOf(dst) > rowOf(cur) ? kSouth : kNorth;
-        Cycle d = link(cur, dir).acquire(t, occ);
-        if (faults_ != nullptr)
-            d += faults_->nocLinkFault(link(cur, dir), t + d);
-        delay += d;
-        t += d + occ;
-        cur = dir == kSouth ? cur + cols_ : cur - cols_;
+    while (row != dst_row) {
+        if (dst_row > row) {
+            hop(cur, kSouth);
+            ++row;
+            cur += cols_;
+        } else {
+            hop(cur, kNorth);
+            --row;
+            cur -= cols_;
+        }
     }
     TLSIM_TRACE_EVENT_AT(t, trace::Kind::NocDeliver, src,
                          unsigned(cls), dst, delay);

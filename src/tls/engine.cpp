@@ -127,16 +127,16 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
     overflow_.resize(m.numProcs);
     logs_.resize(m.numProcs);
 
-    // Scaled machines declare frozen structure capacities: size the
-    // tables once here, then any growth past them panics instead of
+    // Scaled machines declare finite structure capacities: the tables
+    // grow on demand up to them, and growth past one panics instead of
     // silently reallocating (the sequential baseline models none of
-    // the speculative hardware and keeps grow-on-demand).
+    // the speculative hardware and sets no cap).
     if (!cfg_.sequential) {
-        mtid_.reserveCapacity(m.mtidCapacityLines);
+        mtid_.limitCapacity(m.mtidCapacityLines);
         for (auto &area : overflow_)
-            area.reserveCapacity(m.overflowCapacityPerProc);
+            area.limitCapacity(m.overflowCapacityPerProc);
         for (auto &log : logs_)
-            log.reserveTasks(m.undoTasksPerProc);
+            log.limitTasks(m.undoTasksPerProc);
     }
 
     // Fault injection: the plan is engine-local (one RNG set per run,

@@ -2,7 +2,7 @@
  * @file
  * Property tests for the open-addressing FlatMap / FlatSet against the
  * standard node-based containers as the reference model, plus the
- * frozen-capacity (no-allocation contract) death test.
+ * capacity-ceiling tests and death tests.
  */
 
 #include <gtest/gtest.h>
@@ -225,29 +225,76 @@ TEST(FlatSet, RandomChurnMatchesUnorderedSet)
 
 TEST(FlatMap, FrozenCapacityHoldsReservedEntriesWithoutGrowth)
 {
-    // The positive side of the no-alloc contract: after reserve(n),
-    // n entries fit with capacity frozen.
+    // The positive side of the capacity contract: a table limited to
+    // n holds n entries, at the capacity reserve(n) would have taken.
+    FlatMap<std::uint64_t, std::uint64_t> reserved;
+    reserved.reserve(100);
+    std::size_t cap = reserved.capacity();
     FlatMap<std::uint64_t, std::uint64_t> map;
-    map.reserve(100);
-    std::size_t cap = map.capacity();
-    map.freezeCapacity(true);
+    map.limitCapacity(100);
     for (std::uint64_t i = 0; i < 100; ++i)
         map.emplace(i, i);
     EXPECT_EQ(map.size(), 100u);
     EXPECT_EQ(map.capacity(), cap);
 }
 
+namespace {
+
+/** limitCapacity(limit) and the entry count a reserve(limit) table
+ *  accepted while frozen: 3/4 of its power-of-two capacity. */
+struct CeilingCase {
+    std::size_t limit;
+    std::size_t accepted;
+};
+constexpr CeilingCase kCeilingCases[] = {
+    {1, 12}, {4, 12}, {100, 192}, {4096, 6144}};
+
+} // namespace
+
+TEST(FlatMap, CapacityCeilingGrowsOnDemandUpToReservedEntryCount)
+{
+    // A limit allocates nothing up front; the table grows as entries
+    // arrive, up to the capacity a reserve(n) table had.
+    for (const CeilingCase &c : kCeilingCases) {
+        FlatMap<std::uint64_t, std::uint64_t> reserved;
+        reserved.reserve(c.limit);
+        ASSERT_EQ(reserved.capacity() - reserved.capacity() / 4,
+                  c.accepted);
+
+        FlatMap<std::uint64_t, std::uint64_t> map;
+        map.limitCapacity(c.limit);
+        EXPECT_EQ(map.capacity(), 0u) << c.limit;
+        map.emplace(0, 0);
+        EXPECT_EQ(map.capacity(), 16u) << c.limit;
+        for (std::uint64_t i = 1; i < c.accepted; ++i)
+            map.emplace(i, i);
+        EXPECT_EQ(map.size(), c.accepted);
+        EXPECT_EQ(map.capacity(), reserved.capacity()) << c.limit;
+    }
+}
+
 TEST(FlatMapDeathTest, GrowthWhileFrozenPanics)
 {
-    // The enforcement side: a steady-state structure that would have
-    // to grow is a bug, not a slow path.
+    // The enforcement side: a finite structure that would have to
+    // grow past its ceiling is a bug, not a slow path.
     FlatMap<std::uint64_t, std::uint64_t> map;
-    map.reserve(16);
-    map.freezeCapacity(true);
+    map.limitCapacity(16);
     EXPECT_DEATH(
         {
             for (std::uint64_t i = 0; i < 10000; ++i)
                 map.emplace(i, i);
         },
         "frozen");
+}
+
+TEST(FlatMapDeathTest, InsertPastCapacityCeilingPanics)
+{
+    // One entry past the reserve(n)-sized count panics, for every n.
+    for (const CeilingCase &c : kCeilingCases) {
+        FlatMap<std::uint64_t, std::uint64_t> map;
+        map.limitCapacity(c.limit);
+        for (std::uint64_t i = 0; i < c.accepted; ++i)
+            map.emplace(i, i);
+        EXPECT_DEATH(map.emplace(c.accepted, 0), "frozen") << c.limit;
+    }
 }

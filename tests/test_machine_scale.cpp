@@ -3,7 +3,7 @@
  * Tests for the scaled machine configurations (mesh64/128/256, CMP-32):
  * factory/byName sanity, hierarchical-directory fields, and — the part
  * that actually bites — the frozen speculative-structure capacities:
- * full synthetic runs must fit without tripping a freezeCapacity
+ * full synthetic runs must fit without tripping a capacity-ceiling
  * panic, and an undersized frozen table must panic loudly.
  */
 
@@ -118,6 +118,16 @@ runAllKinds(const MachineParams &machine)
 
 } // namespace
 
+TEST(MachineScale, Mesh64CompletesSynthRunsWithinFrozenCapacities)
+{
+    runAllKinds(MachineParams::mesh(64));
+}
+
+TEST(MachineScale, Mesh128CompletesSynthRunsWithinFrozenCapacities)
+{
+    runAllKinds(MachineParams::mesh(128));
+}
+
 TEST(MachineScale, Mesh256CompletesSynthRunsWithinFrozenCapacities)
 {
     runAllKinds(MachineParams::mesh(256));
@@ -137,7 +147,7 @@ TEST(MachineScaleDeathTest, UndersizedFrozenMtidTablePanics)
     mem::MtidTable table;
     // reserve() rounds up to the bucket granularity; overrun it by a
     // wide margin so growth is forced regardless of slack.
-    table.reserveCapacity(4);
+    table.limitCapacity(4);
     EXPECT_DEATH(
         {
             for (Addr line = 0; line < 1024; ++line)
@@ -149,7 +159,7 @@ TEST(MachineScaleDeathTest, UndersizedFrozenMtidTablePanics)
 TEST(MachineScaleDeathTest, UndersizedFrozenOverflowAreaPanics)
 {
     mem::OverflowArea area;
-    area.reserveCapacity(1);
+    area.limitCapacity(1);
     EXPECT_DEATH(
         {
             for (Addr line = 0; line < 64; ++line)
