@@ -1,30 +1,10 @@
 #!/usr/bin/env bash
-# Nightly full-fidelity figures through the warm result store: each
-# figure runs cold (populating nightly-cache) and then warm; the warm
-# table must be byte-identical, and the warm fig9 pass must be served
-# entirely from the store (100% hits). fig9 also runs its
-# Predict+Validate variant (--validate) so the nightly golden gate
-# guards the +VP rankings too.
+# Nightly figures: the three paper figures (figure-tables.sh) plus
+# fig9's Predict+Validate variant (--validate), so the nightly golden
+# gate guards the +VP rankings too.
 set -euo pipefail
-BUILD_DIR="${BUILD_DIR:-build}"
+export BUILD_DIR="${BUILD_DIR:-build}"
+"$(dirname "$0")/figure-tables.sh"
 cd "$BUILD_DIR"
-mkdir -p figure-tables
-run_fig() { # name, command...
-  local name="$1"; shift
-  "$@" --cache-dir=nightly-cache \
-    --cache-stats="nightly_${name}_stats.jsonl" \
-    > "figure-tables/${name}.txt"
-  "$@" --cache-dir=nightly-cache \
-    --cache-stats="nightly_${name}_stats.jsonl" \
-    > "figure-tables/${name}_warm.txt"
-  diff "figure-tables/${name}.txt" "figure-tables/${name}_warm.txt"
-  rm "figure-tables/${name}_warm.txt"
-  python3 -c "import json, sys; \
-    cold, warm = [json.loads(l) for l in open('nightly_${name}_stats.jsonl')]; \
-    assert cold['stores'] == cold['misses'], cold; \
-    assert warm['misses'] == 0 and warm['hits'] > 0, warm"
-}
-run_fig fig9 ./bench/bench_fig9_numa --threads="$(nproc)"
-run_fig fig9_validate ./bench/bench_fig9_numa --threads="$(nproc)" --validate
-run_fig fig10 ./bench/bench_fig10_amm_fmm --threads="$(nproc)"
-run_fig fig11 ./bench/bench_fig11_cmp --threads="$(nproc)"
+./bench/bench_fig9_numa --threads="$(nproc)" --validate \
+  > figure-tables/fig9_validate.txt

@@ -47,7 +47,6 @@ main(int argc, char **argv)
 {
     g_threads = bench::parseThreads(argc, argv);
     g_faults = bench::parseFaults(argc, argv);
-    bench::CacheSession cache_session(argc, argv);
     mem::MachineParams numa = mem::MachineParams::numa16();
     numa.coreModel = bench::parseCoreModel(argc, argv);
 

@@ -9,14 +9,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "common/fault.hpp"
 #include "common/task_pool.hpp"
 #include "common/trace.hpp"
 #include "mem/machine_params.hpp"
-#include "sim/result_cache.hpp"
 
 namespace tlsim::bench {
 
@@ -208,88 +206,6 @@ class TraceSession
     std::string binPath_;
     std::string jsonPath_;
     bool active_ = false;
-};
-
-/**
- * RAII result-cache session for a figure driver (DESIGN.md §10).
- * Flags / environment:
- *
- *   --cache-dir=DIR / --cache-dir DIR   content-addressed store at DIR
- *   --cache                             same, at the default
- *                                       .tlsim-cache (gitignored)
- *   TLSIM_CACHE=DIR                     same, via the environment
- *   --cache-verify=P                    recompute fraction P of hits
- *                                       and hard-fail on any byte
- *                                       difference vs the store
- *   --cache-stats=FILE                  append the session's hit/miss
- *                                       stats as one JSON line
- *
- * The constructor installs the store as the process-wide memo layer
- * consulted by runScheme / runSynthScheme / runSequential /
- * runSynthSequential; the destructor prints the session's stats to
- * stderr (stdout stays byte-identical with and without caching —
- * that's the acceptance criterion) and uninstalls it.
- */
-class CacheSession
-{
-  public:
-    CacheSession(int argc, char **argv)
-    {
-        const char *dir = std::getenv("TLSIM_CACHE");
-        const char *verify = nullptr;
-        for (int i = 1; i < argc; ++i) {
-            const char *arg = argv[i];
-            if (std::strcmp(arg, "--cache") == 0)
-                dir = ".tlsim-cache";
-            else if (std::strcmp(arg, "--cache-dir") == 0 &&
-                     i + 1 < argc)
-                dir = argv[++i];
-            else if (std::strncmp(arg, "--cache-dir=", 12) == 0)
-                dir = arg + 12;
-            else if (std::strncmp(arg, "--cache-verify=", 15) == 0)
-                verify = arg + 15;
-            else if (std::strncmp(arg, "--cache-stats=", 14) == 0)
-                statsPath_ = arg + 14;
-        }
-        if (dir == nullptr || *dir == '\0')
-            return;
-        cache_ = std::make_unique<sim::ResultCache>(dir);
-        if (verify != nullptr)
-            cache_->setVerifyFraction(std::atof(verify));
-        sim::setResultCache(cache_.get());
-        std::fprintf(stderr, "cache: %s (code-version %s)%s\n", dir,
-                     sim::codeVersion(),
-                     verify != nullptr ? ", verifying hits" : "");
-    }
-
-    ~CacheSession()
-    {
-        if (cache_ == nullptr)
-            return;
-        sim::setResultCache(nullptr);
-        const sim::CacheStats s = cache_->stats();
-        const std::string json = sim::ResultCache::statsJson(s);
-        std::fprintf(stderr, "cache: %s\n", json.c_str());
-        if (!statsPath_.empty()) {
-            std::FILE *f = std::fopen(statsPath_.c_str(), "a");
-            if (f != nullptr) {
-                std::fprintf(f, "%s\n", json.c_str());
-                std::fclose(f);
-            } else {
-                std::fprintf(stderr, "cache: cannot write %s\n",
-                             statsPath_.c_str());
-            }
-        }
-    }
-
-    CacheSession(const CacheSession &) = delete;
-    CacheSession &operator=(const CacheSession &) = delete;
-
-    bool active() const { return cache_ != nullptr; }
-
-  private:
-    std::unique_ptr<sim::ResultCache> cache_;
-    std::string statsPath_;
 };
 
 } // namespace tlsim::bench

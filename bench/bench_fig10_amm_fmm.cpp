@@ -27,7 +27,6 @@ main(int argc, char **argv)
     // categories (no NoC firehose) and size the rings accordingly.
     bench::TraceSession trace_session(argc, argv, trace::kMaskAudit,
                                       std::size_t(1) << 24);
-    bench::CacheSession cache_session(argc, argv);
     mem::MachineParams machine = mem::MachineParams::numa16();
     machine.coreModel = bench::parseCoreModel(argc, argv);
     std::vector<tls::SchemeConfig> schemes = {

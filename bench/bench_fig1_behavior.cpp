@@ -19,7 +19,6 @@ main(int argc, char **argv)
 {
     unsigned threads = bench::parseThreads(argc, argv);
     fault::FaultSpec faults = bench::parseFaults(argc, argv);
-    bench::CacheSession cache_session(argc, argv);
     // As in the paper, measured under a scheme where tasks do not
     // stall (MultiT&MV) on the CC-NUMA.
     tls::SchemeConfig scheme{tls::Separation::MultiTMV,

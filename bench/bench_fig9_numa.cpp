@@ -39,7 +39,6 @@ main(int argc, char **argv)
     // categories (no NoC firehose) and size the rings accordingly.
     bench::TraceSession trace_session(argc, argv, trace::kMaskAudit,
                                       std::size_t(1) << 24);
-    bench::CacheSession cache_session(argc, argv);
     mem::MachineParams machine = mem::MachineParams::numa16();
     machine.coreModel = bench::parseCoreModel(argc, argv);
     std::vector<tls::SchemeConfig> schemes = {
@@ -51,7 +50,7 @@ main(int argc, char **argv)
         {tls::Separation::MultiTMV, tls::Merging::LazyAMM, false},
     };
     // --validate appends the Predict+Validate variant of every column
-    // (DESIGN.md §11). The default six keep their positions, so the
+    // (DESIGN.md §10). The default six keep their positions, so the
     // headline indices below and the no-flag output are unchanged.
     if (validate) {
         std::size_t base = schemes.size();

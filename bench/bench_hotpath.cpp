@@ -37,7 +37,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <new>
 #include <string>
 #include <vector>
@@ -49,7 +48,6 @@
 #include "mem/mtid_table.hpp"
 #include "mem/overflow_area.hpp"
 #include "mem/undo_log.hpp"
-#include "sim/result_cache.hpp"
 #include "sim/study.hpp"
 #include "tls/task.hpp"
 #include "tls/version_map.hpp"
@@ -866,8 +864,7 @@ benchEndToEnd(bool short_mode)
     double secs = secondsSince(start);
     tls::RunResult r2 = sim::runScheme(app, scheme, machine);
 
-    if (r1.execTime != r2.execTime ||
-        r1.counters.entries() != r2.counters.entries()) {
+    if (r1 != r2) {
         std::fprintf(stderr,
                      "bench_hotpath: end-to-end point is not "
                      "deterministic\n");
@@ -878,127 +875,6 @@ benchEndToEnd(bool short_mode)
                       double(r1.counters.get("stores"));
     return {{"hotpath_point_accesses", accesses / secs, "accesses/sec"},
             {"hotpath_point_wall", secs, "sec"}};
-}
-
-// --------------------------------------------------------------------
-// Result-cache hot path (DESIGN.md §10)
-// --------------------------------------------------------------------
-
-/**
- * Cache micro-metrics: key-derivation cost (with the zero-allocation
- * gate — the memo probe sits on every runScheme call, so it must not
- * touch the heap), store lookup latency on the hit and miss paths, and
- * the warm-vs-cold ratio of one fig9-style point through the real memo
- * layer. Uses a throwaway store directory next to the binary's cwd,
- * removed before returning.
- */
-std::vector<BenchResult>
-benchCacheMetrics(bool short_mode, long long *key_allocs_out)
-{
-    namespace fs = std::filesystem;
-    std::vector<BenchResult> out;
-
-    apps::AppParams app = apps::tree();
-    tls::SchemeConfig scheme{tls::Separation::MultiTMV,
-                             tls::Merging::LazyAMM, false};
-    mem::MachineParams machine = mem::MachineParams::numa16();
-    fault::FaultSpec faults;
-
-    // --- key derivation: ns/point, zero allocations -----------------
-    const long key_iters = short_mode ? 50'000 : 1'000'000;
-    std::uint64_t sink = 0;
-    for (long i = 0; i < 1000; ++i) { // warm
-        app.seed = std::uint64_t(i);
-        sink += sim::appPointKey(app, scheme, machine, faults, false).lo;
-    }
-    long long allocs_before = g_allocCount.load();
-    auto start = Clock::now();
-    for (long i = 0; i < key_iters; ++i) {
-        // Vary the seed so the fold cannot be hoisted; every other
-        // field stays fixed, as in a real sweep.
-        app.seed = std::uint64_t(i);
-        sim::PointKey k =
-            sim::appPointKey(app, scheme, machine, faults, false);
-        sink += k.lo;
-        clobberMemory();
-    }
-    double key_secs = secondsSince(start);
-    *key_allocs_out = g_allocCount.load() - allocs_before;
-    if (sink == 0)
-        std::abort();
-    out.push_back(
-        {"cache_key_ns", key_secs * 1e9 / double(key_iters), "ns/key"});
-    out.push_back({"cache_key_allocs", double(*key_allocs_out),
-                   "allocs/steady-state-run"});
-
-    // --- store lookup: hit and miss latency -------------------------
-    const std::string dir = ".bench-hotpath-cache.tmp";
-    fs::remove_all(dir);
-    app.seed = 0x5eed;
-    {
-        sim::ResultCache cache(dir);
-        apps::AppParams small = apps::tree();
-        small.numTasks = 32;
-        small.instrPerTask = 2000;
-        tls::RunResult r = sim::runScheme(small, scheme, machine);
-        sim::PointKey key =
-            sim::appPointKey(small, scheme, machine, faults, false);
-        cache.store(key, r);
-
-        const long lookups = short_mode ? 200 : 2000;
-        tls::RunResult tmp;
-        auto t0 = Clock::now();
-        for (long i = 0; i < lookups; ++i)
-            if (!cache.fetch(key, &tmp))
-                std::abort();
-        out.push_back({"cache_lookup_hit_us",
-                       secondsSince(t0) * 1e6 / double(lookups),
-                       "us/lookup"});
-
-        const sim::PointKey absent{0x0123456789abcdefULL,
-                                   0xfedcba9876543210ULL};
-        t0 = Clock::now();
-        for (long i = 0; i < lookups; ++i)
-            if (cache.fetch(absent, &tmp))
-                std::abort();
-        out.push_back({"cache_lookup_miss_us",
-                       secondsSince(t0) * 1e6 / double(lookups),
-                       "us/lookup"});
-    }
-
-    // --- warm vs cold fig-point through the memo layer --------------
-    fs::remove_all(dir);
-    {
-        sim::ResultCache cache(dir);
-        sim::setResultCache(&cache);
-        apps::AppParams fig = apps::tree();
-        fig.numTasks = short_mode ? 48 : 256;
-        fig.instrPerTask = short_mode ? 3000 : 10000;
-
-        auto t0 = Clock::now();
-        tls::RunResult cold = sim::runScheme(fig, scheme, machine);
-        double cold_secs = secondsSince(t0);
-        t0 = Clock::now();
-        tls::RunResult warm = sim::runScheme(fig, scheme, machine);
-        double warm_secs = secondsSince(t0);
-        sim::setResultCache(nullptr);
-
-        if (cache.stats().hits != 1 || cache.stats().stores != 1 ||
-            sim::serializeRunResult(cold) !=
-                sim::serializeRunResult(warm)) {
-            std::fprintf(stderr,
-                         "bench_hotpath: cache round trip is not "
-                         "byte-identical\n");
-            std::exit(1);
-        }
-        // Gated >= 1.0 by the blanket `_speedup` rule below; a warm
-        // hit is a file read, so in practice this is orders of
-        // magnitude above parity.
-        out.push_back({"cache_warm_speedup",
-                       cold_secs / std::max(warm_secs, 1e-9), "x"});
-    }
-    fs::remove_all(dir);
-    return out;
 }
 
 void
@@ -1073,10 +949,6 @@ benchMain(int argc, char **argv)
     for (BenchResult &r : benchEndToEnd(short_mode))
         results.push_back(r);
 
-    long long key_allocs = 0;
-    for (BenchResult &r : benchCacheMetrics(short_mode, &key_allocs))
-        results.push_back(r);
-
     // Functional guards (CI runs these through the --short CTest
     // target): the fast paths must be allocation-free at steady state.
     if (sched_allocs != 0) {
@@ -1096,14 +968,6 @@ benchMain(int argc, char **argv)
                      "bench_hotpath: access path allocated %lld times "
                      "at steady state\n",
                      access_allocs);
-        return 1;
-    }
-    if (key_allocs != 0) {
-        std::fprintf(stderr,
-                     "bench_hotpath: cache key derivation allocated "
-                     "%lld times — the memo probe sits on every "
-                     "runScheme call and must stay heap-free\n",
-                     key_allocs);
         return 1;
     }
     if (access_sum_new != access_sum_legacy) {

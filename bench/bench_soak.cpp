@@ -170,7 +170,6 @@ main(int argc, char **argv)
     // A --faults=SPEC override replays that exact schedule in every
     // round instead of drawing randomized ones (failure reproduction).
     const fault::FaultSpec fixed_spec = bench::parseFaults(argc, argv);
-    bench::CacheSession cache_session(argc, argv);
 
     std::vector<apps::AppParams> apps = {soakSquashy(tasks),
                                          soakHungry(tasks)};
@@ -499,7 +498,7 @@ main(int argc, char **argv)
     // validation axis enabled. On top of the usual faulted-vs-clean
     // pair, the clean Predict+Validate image must equal the clean
     // validation=None image: prediction is a timing policy and may
-    // never change what commits (DESIGN.md §11).
+    // never change what commits (DESIGN.md §10).
     std::uint64_t vp_predictions = 0;
     {
         mem::MachineParams machine = mem::MachineParams::numa16();

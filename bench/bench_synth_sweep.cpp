@@ -158,7 +158,6 @@ main(int argc, char **argv)
     Options opt = parseOptions(argc, argv);
     bench::TraceSession session(argc, argv, trace::kMaskAudit,
                                 1u << 20);
-    bench::CacheSession cache_session(argc, argv);
 
     const std::vector<tls::SchemeConfig> schemes =
         tls::SchemeConfig::evaluatedSchemes();

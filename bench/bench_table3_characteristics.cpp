@@ -19,7 +19,6 @@ main(int argc, char **argv)
 {
     unsigned threads = bench::parseThreads(argc, argv);
     fault::FaultSpec faults = bench::parseFaults(argc, argv);
-    bench::CacheSession cache_session(argc, argv);
     tls::SchemeConfig mv_eager{tls::Separation::MultiTMV,
                                tls::Merging::EagerAMM, false};
     mem::MachineParams numa = mem::MachineParams::numa16();

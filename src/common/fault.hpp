@@ -161,6 +161,8 @@ struct FaultCounters {
         return nocDelays + nocStalls + forcedSpills + overflowPressure +
                undoStressEvents + spuriousSquashes + commitSquashes;
     }
+
+    bool operator==(const FaultCounters &) const = default;
 };
 
 /**

@@ -63,39 +63,6 @@ CycleBreakdown::toString() const
     return oss.str();
 }
 
-void
-Histogram::record(std::uint64_t value)
-{
-    ++count_;
-    sum_ += value;
-    if (value < min_)
-        min_ = value;
-    if (value > max_)
-        max_ = value;
-    if (bucketWidth_ == 0)
-        return;
-    std::size_t idx = value / bucketWidth_;
-    if (idx >= buckets_.size())
-        buckets_.resize(idx + 1, 0);
-    ++buckets_[idx];
-}
-
-std::uint64_t
-Histogram::percentile(double fraction) const
-{
-    if (bucketWidth_ == 0 || count_ == 0)
-        return 0;
-    std::uint64_t target =
-        static_cast<std::uint64_t>(fraction * double(count_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen > target)
-            return (i + 1) * bucketWidth_ - 1;
-    }
-    return max_;
-}
-
 StatId
 CounterSet::intern(const std::string &name)
 {

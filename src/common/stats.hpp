@@ -1,7 +1,7 @@
 /**
  * @file
- * Statistics primitives: counters, histograms and the per-processor
- * cycle breakdown used to render the paper's Busy/Stall bars.
+ * Statistics primitives: counters and the per-processor cycle
+ * breakdown used to render the paper's Busy/Stall bars.
  */
 
 #ifndef TLSIM_COMMON_STATS_HPP
@@ -93,42 +93,10 @@ class CycleBreakdown
     /** Render as "kind=value" pairs, skipping zero bins. */
     std::string toString() const;
 
+    bool operator==(const CycleBreakdown &) const = default;
+
   private:
     std::array<Cycle, kNumCycleKinds> bins_;
-};
-
-/**
- * Fixed-width-bucket histogram with running mean/min/max.
- */
-class Histogram
-{
-  public:
-    /** @param bucket_width width of each bucket; 0 disables bucketing. */
-    explicit Histogram(std::uint64_t bucket_width = 0)
-        : bucketWidth_(bucket_width)
-    {}
-
-    void record(std::uint64_t value);
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t min() const { return count_ ? min_ : 0; }
-    std::uint64_t max() const { return max_; }
-    double mean() const { return count_ ? double(sum_) / count_ : 0.0; }
-    std::uint64_t sum() const { return sum_; }
-
-    /** Value below which the given fraction of samples fall. */
-    std::uint64_t percentile(double fraction) const;
-
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    std::uint64_t bucketWidth() const { return bucketWidth_; }
-
-  private:
-    std::uint64_t bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t max_ = 0;
 };
 
 /**
@@ -185,6 +153,8 @@ class CounterSet
     }
 
     void merge(const CounterSet &other);
+
+    bool operator==(const CounterSet &) const = default;
 
   private:
     std::uint64_t &find(const std::string &name);

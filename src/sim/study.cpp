@@ -2,46 +2,12 @@
 
 #include <sstream>
 
-#include <atomic>
-
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/task_pool.hpp"
 #include "common/trace.hpp"
-#include "sim/result_cache.hpp"
 
 namespace tlsim::sim {
-
-namespace {
-
-/**
- * Memoize one simulation point through the installed ResultCache (a
- * no-op passthrough when none is installed). On a hit the stored
- * RunResult is returned; a --cache-verify draw additionally recomputes
- * the point and hard-fails unless the recomputation is byte-identical
- * to the stored payload. On a miss the point is simulated and stored.
- */
-template <typename Fn>
-tls::RunResult
-memoized(const PointKey &key, const char *label, Fn &&simulate)
-{
-    ResultCache *cache = resultCache();
-    if (cache == nullptr)
-        return simulate();
-    tls::RunResult cached;
-    std::string payload;
-    if (cache->fetch(key, &cached, &payload)) {
-        if (cache->shouldVerify(key))
-            cache->verifyAgainst(key, payload, simulate(), label);
-        return cached;
-    }
-    tls::RunResult fresh = simulate();
-    cache->store(key, fresh);
-    return fresh;
-}
-
-} // namespace
 
 double
 AppStudy::normalized(std::size_t idx) const
@@ -62,43 +28,31 @@ runScheme(const apps::AppParams &app, const tls::SchemeConfig &scheme,
           const mem::MachineParams &machine,
           const fault::FaultSpec &faults)
 {
-    // The key folds the *caller's* fault spec; the derived per-point
-    // fault seed below is a pure function of (faults.seed, app.seed),
-    // both of which are in the key already.
-    return memoized(
-        appPointKey(app, scheme, machine, faults, /*sequential=*/false),
-        app.name.c_str(), [&] {
-            apps::LoopWorkload workload(app);
-            tls::EngineConfig cfg;
-            cfg.scheme = scheme;
-            cfg.machine = machine;
-            cfg.faults = faults;
-            if (faults.anyEnabled()) {
-                // Identity-hash discipline (see derivePointSeed): the
-                // plan's streams depend only on (spec seed, workload
-                // seed), never on sweep order or thread count.
-                cfg.faults.seed =
-                    fault::deriveFaultSeed(faults.seed, app.seed);
-            }
-            tls::SpeculationEngine engine(cfg, workload);
-            return engine.run();
-        });
+    apps::LoopWorkload workload(app);
+    tls::EngineConfig cfg;
+    cfg.scheme = scheme;
+    cfg.machine = machine;
+    cfg.faults = faults;
+    if (faults.anyEnabled()) {
+        // Identity-hash discipline (see derivePointSeed): the plan's
+        // streams depend only on (spec seed, workload seed), never on
+        // sweep order or thread count.
+        cfg.faults.seed = fault::deriveFaultSeed(faults.seed, app.seed);
+    }
+    tls::SpeculationEngine engine(cfg, workload);
+    return engine.run();
 }
 
 tls::RunResult
 runSequential(const apps::AppParams &app,
               const mem::MachineParams &machine)
 {
-    return memoized(
-        appPointKey(app, {}, machine, {}, /*sequential=*/true),
-        app.name.c_str(), [&] {
-            apps::LoopWorkload workload(app);
-            tls::EngineConfig cfg;
-            cfg.machine = machine;
-            cfg.sequential = true;
-            tls::SpeculationEngine engine(cfg, workload);
-            return engine.run();
-        });
+    apps::LoopWorkload workload(app);
+    tls::EngineConfig cfg;
+    cfg.machine = machine;
+    cfg.sequential = true;
+    tls::SpeculationEngine engine(cfg, workload);
+    return engine.run();
 }
 
 std::uint64_t
@@ -237,37 +191,27 @@ runSynthScheme(const apps::SynthSpec &spec,
                const mem::MachineParams &machine,
                const fault::FaultSpec &faults)
 {
-    return memoized(
-        synthPointKey(spec, scheme, machine, faults,
-                      /*sequential=*/false),
-        "synth", [&] {
-            apps::SynthWorkload workload(spec);
-            tls::EngineConfig cfg;
-            cfg.scheme = scheme;
-            cfg.machine = machine;
-            cfg.faults = faults;
-            if (faults.anyEnabled())
-                cfg.faults.seed =
-                    fault::deriveFaultSeed(faults.seed, spec.seed);
-            tls::SpeculationEngine engine(cfg, workload);
-            return engine.run();
-        });
+    apps::SynthWorkload workload(spec);
+    tls::EngineConfig cfg;
+    cfg.scheme = scheme;
+    cfg.machine = machine;
+    cfg.faults = faults;
+    if (faults.anyEnabled())
+        cfg.faults.seed = fault::deriveFaultSeed(faults.seed, spec.seed);
+    tls::SpeculationEngine engine(cfg, workload);
+    return engine.run();
 }
 
 tls::RunResult
 runSynthSequential(const apps::SynthSpec &spec,
                    const mem::MachineParams &machine)
 {
-    return memoized(
-        synthPointKey(spec, {}, machine, {}, /*sequential=*/true),
-        "synth-seq", [&] {
-            apps::SynthWorkload workload(spec);
-            tls::EngineConfig cfg;
-            cfg.machine = machine;
-            cfg.sequential = true;
-            tls::SpeculationEngine engine(cfg, workload);
-            return engine.run();
-        });
+    apps::SynthWorkload workload(spec);
+    tls::EngineConfig cfg;
+    cfg.machine = machine;
+    cfg.sequential = true;
+    tls::SpeculationEngine engine(cfg, workload);
+    return engine.run();
 }
 
 tls::BufferSizing

@@ -24,6 +24,8 @@ struct TaskTimeline {
     Cycle commitStart = 0;
     Cycle commitEnd = 0;
     std::uint32_t squashes = 0;
+
+    bool operator==(const TaskTimeline &) const = default;
 };
 
 /**
@@ -84,6 +86,8 @@ struct RunResult {
         Cycle t = total.total();
         return t ? double(total.busy()) / double(t) : 0.0;
     }
+
+    bool operator==(const RunResult &) const = default;
 };
 
 } // namespace tlsim::tls

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for counters, histograms and the cycle breakdown.
+ * Tests for counters and the cycle breakdown.
  */
 
 #include <gtest/gtest.h>
@@ -48,38 +48,6 @@ TEST(CycleBreakdown, ToStringSkipsZeroBins)
     std::string s = b.toString();
     EXPECT_NE(s.find("busy=5"), std::string::npos);
     EXPECT_EQ(s.find("mem_stall"), std::string::npos);
-}
-
-TEST(Histogram, TracksMinMaxMeanSum)
-{
-    Histogram h;
-    h.record(2);
-    h.record(4);
-    h.record(9);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.min(), 2u);
-    EXPECT_EQ(h.max(), 9u);
-    EXPECT_EQ(h.sum(), 15u);
-    EXPECT_DOUBLE_EQ(h.mean(), 5.0);
-}
-
-TEST(Histogram, PercentileWithBuckets)
-{
-    Histogram h(10);
-    for (unsigned v = 0; v < 100; ++v)
-        h.record(v);
-    EXPECT_LE(h.percentile(0.5), 59u);
-    EXPECT_GE(h.percentile(0.5), 40u);
-    EXPECT_GE(h.percentile(0.99), 90u);
-}
-
-TEST(Histogram, EmptyIsSafe)
-{
-    Histogram h(4);
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.min(), 0u);
-    EXPECT_EQ(h.percentile(0.9), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
 TEST(CounterSet, IncrementAndRead)

@@ -227,10 +227,7 @@ TEST(SynthSweep, ResultsAreIdenticalAtAnyThreadCount)
         for (std::size_t s = 0; s < seq[a].outcomes.size(); ++s) {
             const sim::SynthOutcome &x = seq[a].outcomes[s];
             const sim::SynthOutcome &y = par[a].outcomes[s];
-            EXPECT_EQ(x.result.execTime, y.result.execTime);
-            EXPECT_EQ(x.result.memStateHash, y.result.memStateHash);
-            EXPECT_EQ(x.result.squashEvents, y.result.squashEvents);
-            EXPECT_EQ(x.result.committedTasks, y.result.committedTasks);
+            EXPECT_TRUE(x.result == y.result) << x.scheme.name();
             EXPECT_DOUBLE_EQ(x.speedup, y.speedup);
             EXPECT_DOUBLE_EQ(x.bufferCostKb, y.bufferCostKb);
         }

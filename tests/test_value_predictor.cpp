@@ -194,15 +194,7 @@ TEST(ValuePredictor, SweepIsDeterministicAcrossThreads)
         for (std::size_t s = 0; s < base[a].outcomes.size(); ++s) {
             const tls::RunResult &x = base[a].outcomes[s].result;
             const tls::RunResult &y = other[a].outcomes[s].result;
-            EXPECT_EQ(x.execTime, y.execTime)
-                << base[a].outcomes[s].scheme.name();
-            EXPECT_EQ(x.memStateHash, y.memStateHash);
-            EXPECT_EQ(x.counters.get("value_predictions"),
-                      y.counters.get("value_predictions"));
-            EXPECT_EQ(x.counters.get("value_mispredicts"),
-                      y.counters.get("value_mispredicts"));
-            EXPECT_EQ(x.counters.get("value_validations"),
-                      y.counters.get("value_validations"));
+            EXPECT_TRUE(x == y) << base[a].outcomes[s].scheme.name();
         }
     }
 }

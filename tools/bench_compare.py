@@ -29,14 +29,6 @@ import json
 import sys
 from pathlib import Path
 
-# Ratios whose value depends on the run length rather than on code
-# quality: the warm-cache speedup divides the cold sweep's wall time
-# (full run: minutes of simulation; --short: a few seconds) by a
-# near-constant lookup cost, so comparing a --short CI report against
-# the committed full-run baseline would always "regress". Skipped
-# unless --strict.
-MODE_DEPENDENT = {"cache_warm_speedup"}
-
 
 def load_ratios(path: Path) -> dict[str, float]:
     """Return {bench: metric} for entries whose unit is \"x\"."""
@@ -73,12 +65,6 @@ def main() -> int:
         default=0.10,
         help="allowed fractional drop below baseline (default 0.10)",
     )
-    ap.add_argument(
-        "--strict",
-        action="store_true",
-        help="also gate run-length-dependent ratios "
-        f"({', '.join(sorted(MODE_DEPENDENT))})",
-    )
     args = ap.parse_args()
 
     baseline = load_ratios(args.baseline)
@@ -98,9 +84,7 @@ def main() -> int:
         base, now = baseline[key], current[key]
         delta = (now - base) / base
         flag = ""
-        if key in MODE_DEPENDENT and not args.strict:
-            flag = "  (mode-dependent, not gated)"
-        elif delta < -args.tolerance:
+        if delta < -args.tolerance:
             regressions.append(key)
             flag = "  << REGRESSION"
         print(f"{key:<{width}} {base:>8.3f} {now:>8.3f} "
