@@ -6,50 +6,59 @@
 #ifndef TLSIM_BENCH_BENCH_COMMON_HPP
 #define TLSIM_BENCH_BENCH_COMMON_HPP
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/fault.hpp"
-#include "common/task_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "common/trace.hpp"
 #include "mem/machine_params.hpp"
 
 namespace tlsim::bench {
 
 /**
+ * Parse the value of a count flag such as `--threads` or `--reps`: a
+ * whole number >= 1, saturated at @p max. Exits with an error on
+ * anything else.
+ */
+inline unsigned
+parseCount(const char *flag, const char *value, unsigned max = UINT_MAX)
+{
+    char *end = nullptr;
+    long v = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || v < 1) {
+        std::fprintf(stderr, "%s wants a count >= 1, got '%s'\n", flag,
+                     value);
+        std::exit(1);
+    }
+    return v > long(max) ? max : unsigned(v);
+}
+
+/**
  * Parse a `--threads N` / `--threads=N` flag for sweep drivers.
  *
  * Returns 0 ("auto": TLSIM_THREADS env, else hardware concurrency)
- * when the flag is absent. The thread count only affects wall-clock
- * time — every figure table is byte-identical at any value.
+ * when the flag is absent; larger counts than kMaxSweepThreads are
+ * capped. The thread count only affects wall-clock time — every
+ * figure table is byte-identical at any value.
  */
 inline unsigned
 parseThreads(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        const char *value = nullptr;
         if (std::strcmp(arg, "--threads") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--threads wants a count\n");
                 std::exit(1);
             }
-            value = argv[i + 1];
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            value = arg + 10;
+            return parseCount("--threads", argv[i + 1], kMaxSweepThreads);
         }
-        if (value) {
-            long v = std::atol(value);
-            if (v < 1) {
-                std::fprintf(stderr, "--threads wants a count >= 1, "
-                                     "got '%s'\n",
-                             value);
-                std::exit(1);
-            }
-            return unsigned(v);
-        }
+        if (std::strncmp(arg, "--threads=", 10) == 0)
+            return parseCount("--threads", arg + 10, kMaxSweepThreads);
     }
     return 0;
 }

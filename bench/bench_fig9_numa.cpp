@@ -29,12 +29,10 @@ main(int argc, char **argv)
         if (std::strncmp(argv[i], "--app=", 6) == 0)
             only_app = argv[i] + 6;
         else if (std::strncmp(argv[i], "--reps=", 7) == 0)
-            reps = unsigned(std::atoi(argv[i] + 7));
+            reps = bench::parseCount("--reps", argv[i] + 7);
         else if (std::strcmp(argv[i], "--validate") == 0)
             validate = true;
     }
-    if (reps == 0)
-        reps = 1;
     // Full sweeps emit millions of records; default to the audit
     // categories (no NoC firehose) and size the rings accordingly.
     bench::TraceSession trace_session(argc, argv, trace::kMaskAudit,

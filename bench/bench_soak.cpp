@@ -101,26 +101,97 @@ drawSchedule(Rng &rng)
     return spec;
 }
 
+/** Totals of one soak phase: one row of the table. */
+struct Phase {
+    explicit Phase(const fault::FaultSpec &spec)
+        : schedule(spec.canonical())
+    {}
+
+    std::string schedule; ///< the phase's fault spec, canonical form
+    unsigned points = 0;
+    fault::FaultCounters injected;
+    bool stateOk = true;
+};
+
+/** Oracles (a) and (b), applied point by point, and the soak's totals. */
 struct SoakTally {
     unsigned points = 0;
     unsigned completionFailures = 0;
     unsigned stateMismatches = 0;
     fault::FaultCounters injected;
 
+    /**
+     * Count one point in @p phase and check it: the faulted run @p f
+     * and its clean pair @p c both commit all @p tasks tasks (a) and
+     * leave the same memory image (b). @p point names the point in
+     * failure messages; a divergence report also prints the synthetic
+     * @p spec, if any, and the fault schedule.
+     */
     void
-    fold(const fault::FaultCounters &c)
+    check(Phase &phase, const std::string &point, unsigned tasks,
+          const tls::RunResult &f, const tls::RunResult &c,
+          const apps::SynthSpec *spec = nullptr)
     {
-        injected.nocDelays += c.nocDelays;
-        injected.nocStalls += c.nocStalls;
-        injected.nocRetries += c.nocRetries;
-        injected.forcedSpills += c.forcedSpills;
-        injected.overflowPressure += c.overflowPressure;
-        injected.undoStressEvents += c.undoStressEvents;
-        injected.undoStressCycles += c.undoStressCycles;
-        injected.spuriousSquashes += c.spuriousSquashes;
-        injected.commitSquashes += c.commitSquashes;
+        ++points;
+        ++phase.points;
+        injected += f.faults;
+        phase.injected += f.faults;
+        if (f.committedTasks != tasks || c.committedTasks != tasks) {
+            ++completionFailures;
+            std::fprintf(stderr, "soak: %s committed %llu/%u tasks\n",
+                         point.c_str(),
+                         (unsigned long long)f.committedTasks, tasks);
+        }
+        if (!sameState(phase, point, "faulted-vs-clean", f, c)) {
+            if (spec != nullptr)
+                std::fprintf(stderr, "  spec: %s\n",
+                             spec->canonical().c_str());
+            std::fprintf(stderr, "  schedule: %s\n",
+                         phase.schedule.c_str());
+        }
+    }
+
+    /** Oracle (b) on two runs that must commit the same memory image;
+     *  @p pair names them in the failure message. */
+    bool
+    sameState(Phase &phase, const std::string &point, const char *pair,
+              const tls::RunResult &a, const tls::RunResult &b)
+    {
+        if (a.memStateHash == b.memStateHash &&
+            a.memStateLines == b.memStateLines)
+            return true;
+        ++stateMismatches;
+        phase.stateOk = false;
+        std::fprintf(stderr,
+                     "soak: %s %s memory-state divergence "
+                     "(%016llx/%llu vs %016llx/%llu)\n",
+                     point.c_str(), pair,
+                     (unsigned long long)a.memStateHash,
+                     (unsigned long long)a.memStateLines,
+                     (unsigned long long)b.memStateHash,
+                     (unsigned long long)b.memStateLines);
+        return false;
     }
 };
+
+/** One table row per phase. */
+void
+addPhaseRow(TextTable &table, const std::string &label,
+            const std::string &machine, const Phase &phase,
+            const std::string &injected)
+{
+    table.addRow({label, machine, phase.schedule,
+                  std::to_string(phase.points), injected,
+                  phase.stateOk ? "match" : "DIVERGED"});
+}
+
+/** The injected-faults cell of the phases that only tally squashes. */
+std::string
+squashCounts(const fault::FaultCounters &c)
+{
+    return "sq " + std::to_string(c.spuriousSquashes) + "+" +
+           std::to_string(c.commitSquashes);
+}
 
 bool
 parseFlag(int argc, char **argv, const char *name)
@@ -231,72 +302,31 @@ main(int argc, char **argv)
         std::vector<sim::AppStudy> clean = sim::runStudySweep(
             round_apps, schemes, machine, 1, threads, {});
 
-        unsigned round_points = 0;
-        fault::FaultCounters round_injected;
-        bool round_state_ok = true;
-        for (std::size_t a = 0; a < round_apps.size(); ++a) {
-            for (std::size_t s = 0; s < schemes.size(); ++s) {
-                const tls::RunResult &f = faulted[a].outcomes[s].result;
-                const tls::RunResult &c = clean[a].outcomes[s].result;
-                ++tally.points;
-                ++round_points;
-                if (f.committedTasks != round_apps[a].numTasks ||
-                    c.committedTasks != round_apps[a].numTasks) {
-                    ++tally.completionFailures;
-                    std::fprintf(stderr,
-                                 "soak: round %u %s/%s committed "
-                                 "%llu/%u tasks\n",
-                                 round, round_apps[a].name.c_str(),
-                                 schemes[s].name().c_str(),
-                                 (unsigned long long)f.committedTasks,
-                                 round_apps[a].numTasks);
-                }
-                if (f.memStateHash != c.memStateHash ||
-                    f.memStateLines != c.memStateLines) {
-                    ++tally.stateMismatches;
-                    round_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: round %u %s/%s memory-state divergence "
-                        "(faulted %016llx/%llu lines vs clean "
-                        "%016llx/%llu)\n  schedule: %s\n",
-                        round, round_apps[a].name.c_str(),
-                        schemes[s].name().c_str(),
-                        (unsigned long long)f.memStateHash,
-                        (unsigned long long)f.memStateLines,
-                        (unsigned long long)c.memStateHash,
-                        (unsigned long long)c.memStateLines,
-                        spec.canonical().c_str());
-                }
-                tally.fold(f.faults);
-                round_injected.nocDelays += f.faults.nocDelays;
-                round_injected.nocStalls += f.faults.nocStalls;
-                round_injected.forcedSpills += f.faults.forcedSpills;
-                round_injected.overflowPressure +=
-                    f.faults.overflowPressure;
-                round_injected.undoStressEvents +=
-                    f.faults.undoStressEvents;
-                round_injected.spuriousSquashes +=
-                    f.faults.spuriousSquashes;
-                round_injected.commitSquashes += f.faults.commitSquashes;
-            }
-        }
+        Phase phase(spec);
+        for (std::size_t a = 0; a < round_apps.size(); ++a)
+            for (std::size_t s = 0; s < schemes.size(); ++s)
+                tally.check(phase,
+                            "round " + std::to_string(round) + " " +
+                                round_apps[a].name + "/" +
+                                schemes[s].name(),
+                            round_apps[a].numTasks,
+                            faulted[a].outcomes[s].result,
+                            clean[a].outcomes[s].result);
 
         char injected[96];
         std::snprintf(injected, sizeof(injected),
                       "noc %llu+%llu spill %llu ovf %llu undo %llu "
                       "sq %llu+%llu",
-                      (unsigned long long)round_injected.nocDelays,
-                      (unsigned long long)round_injected.nocStalls,
-                      (unsigned long long)round_injected.forcedSpills,
-                      (unsigned long long)round_injected.overflowPressure,
-                      (unsigned long long)round_injected.undoStressEvents,
-                      (unsigned long long)round_injected.spuriousSquashes,
-                      (unsigned long long)round_injected.commitSquashes);
-        table.addRow({std::to_string(round),
-                      (round % 2 == 0) ? "NUMA-16" : "CMP-8",
-                      spec.canonical(), std::to_string(round_points),
-                      injected, round_state_ok ? "match" : "DIVERGED"});
+                      (unsigned long long)phase.injected.nocDelays,
+                      (unsigned long long)phase.injected.nocStalls,
+                      (unsigned long long)phase.injected.forcedSpills,
+                      (unsigned long long)phase.injected.overflowPressure,
+                      (unsigned long long)phase.injected.undoStressEvents,
+                      (unsigned long long)phase.injected.spuriousSquashes,
+                      (unsigned long long)phase.injected.commitSquashes);
+        addPhaseRow(table, std::to_string(round),
+                    (round % 2 == 0) ? "NUMA-16" : "CMP-8", phase,
+                    injected);
     }
 
     // Synthetic-workload phase: one generated stream per kind on each
@@ -321,59 +351,18 @@ main(int argc, char **argv)
             std::vector<sim::SynthStudy> clean = sim::runSynthSweep(
                 specs, schemes, machine, threads, {});
 
-            unsigned phase_points = 0;
-            fault::FaultCounters phase_injected;
-            bool phase_state_ok = true;
-            for (std::size_t a = 0; a < specs.size(); ++a) {
-                for (std::size_t s = 0; s < schemes.size(); ++s) {
-                    const tls::RunResult &f =
-                        faulted[a].outcomes[s].result;
-                    const tls::RunResult &c =
-                        clean[a].outcomes[s].result;
-                    ++tally.points;
-                    ++phase_points;
-                    if (f.committedTasks != specs[a].tasks ||
-                        c.committedTasks != specs[a].tasks) {
-                        ++tally.completionFailures;
-                        std::fprintf(
-                            stderr,
-                            "soak: synth %s/%s/%s committed %llu/%u "
-                            "tasks\n",
-                            machine.name.c_str(),
-                            specs[a].name().c_str(),
-                            schemes[s].name().c_str(),
-                            (unsigned long long)f.committedTasks,
-                            specs[a].tasks);
-                    }
-                    if (f.memStateHash != c.memStateHash ||
-                        f.memStateLines != c.memStateLines) {
-                        ++tally.stateMismatches;
-                        phase_state_ok = false;
-                        std::fprintf(
-                            stderr,
-                            "soak: synth %s/%s/%s memory-state "
-                            "divergence\n  spec: %s\n  schedule: %s\n",
-                            machine.name.c_str(),
-                            specs[a].name().c_str(),
-                            schemes[s].name().c_str(),
-                            specs[a].canonical().c_str(),
-                            spec.canonical().c_str());
-                    }
-                    tally.fold(f.faults);
-                    phase_injected.spuriousSquashes +=
-                        f.faults.spuriousSquashes;
-                    phase_injected.commitSquashes +=
-                        f.faults.commitSquashes;
-                }
-            }
-            char injected[96];
-            std::snprintf(
-                injected, sizeof(injected), "sq %llu+%llu",
-                (unsigned long long)phase_injected.spuriousSquashes,
-                (unsigned long long)phase_injected.commitSquashes);
-            table.addRow({"synth", machine.name, spec.canonical(),
-                          std::to_string(phase_points), injected,
-                          phase_state_ok ? "match" : "DIVERGED"});
+            Phase phase(spec);
+            for (std::size_t a = 0; a < specs.size(); ++a)
+                for (std::size_t s = 0; s < schemes.size(); ++s)
+                    tally.check(phase,
+                                "synth " + machine.name + "/" +
+                                    specs[a].name() + "/" +
+                                    schemes[s].name(),
+                                specs[a].tasks,
+                                faulted[a].outcomes[s].result,
+                                clean[a].outcomes[s].result, &specs[a]);
+            addPhaseRow(table, "synth", machine.name, phase,
+                        squashCounts(phase.injected));
         }
     }
 
@@ -428,68 +417,20 @@ main(int argc, char **argv)
         std::vector<sim::AppStudy> inorder = sim::runStudySweep(
             ooo_apps, schemes, inorder_machine, 1, threads, {});
 
-        unsigned phase_points = 0;
-        fault::FaultCounters phase_injected;
-        bool phase_state_ok = true;
+        Phase phase(spec);
         for (std::size_t a = 0; a < ooo_apps.size(); ++a) {
             for (std::size_t s = 0; s < schemes.size(); ++s) {
-                const tls::RunResult &f = faulted[a].outcomes[s].result;
                 const tls::RunResult &c = clean[a].outcomes[s].result;
-                const tls::RunResult &io = inorder[a].outcomes[s].result;
-                ++tally.points;
-                ++phase_points;
-                if (f.committedTasks != ooo_apps[a].numTasks ||
-                    c.committedTasks != ooo_apps[a].numTasks) {
-                    ++tally.completionFailures;
-                    std::fprintf(stderr,
-                                 "soak: ooo %s/%s committed %llu/%u "
-                                 "tasks\n",
-                                 ooo_apps[a].name.c_str(),
-                                 schemes[s].name().c_str(),
-                                 (unsigned long long)f.committedTasks,
-                                 ooo_apps[a].numTasks);
-                }
-                if (f.memStateHash != c.memStateHash ||
-                    f.memStateLines != c.memStateLines) {
-                    ++tally.stateMismatches;
-                    phase_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: ooo %s/%s faulted-vs-clean memory-state "
-                        "divergence\n  schedule: %s\n",
-                        ooo_apps[a].name.c_str(),
-                        schemes[s].name().c_str(),
-                        spec.canonical().c_str());
-                }
-                if (c.memStateHash != io.memStateHash ||
-                    c.memStateLines != io.memStateLines) {
-                    ++tally.stateMismatches;
-                    phase_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: ooo %s/%s ooo-vs-inorder memory-state "
-                        "divergence (%016llx/%llu vs %016llx/%llu)\n",
-                        ooo_apps[a].name.c_str(),
-                        schemes[s].name().c_str(),
-                        (unsigned long long)c.memStateHash,
-                        (unsigned long long)c.memStateLines,
-                        (unsigned long long)io.memStateHash,
-                        (unsigned long long)io.memStateLines);
-                }
-                tally.fold(f.faults);
-                phase_injected.spuriousSquashes +=
-                    f.faults.spuriousSquashes;
-                phase_injected.commitSquashes +=
-                    f.faults.commitSquashes;
+                const std::string point =
+                    "ooo " + ooo_apps[a].name + "/" + schemes[s].name();
+                tally.check(phase, point, ooo_apps[a].numTasks,
+                            faulted[a].outcomes[s].result, c);
+                tally.sameState(phase, point, "ooo-vs-inorder", c,
+                                inorder[a].outcomes[s].result);
             }
         }
-        char injected[96];
-        std::snprintf(injected, sizeof(injected), "sq %llu+%llu",
-                      (unsigned long long)phase_injected.spuriousSquashes,
-                      (unsigned long long)phase_injected.commitSquashes);
-        table.addRow({"ooo", "NUMA-16", spec.canonical(),
-                      std::to_string(phase_points), injected,
-                      phase_state_ok ? "match" : "DIVERGED"});
+        addPhaseRow(table, "ooo", "NUMA-16", phase,
+                    squashCounts(phase.injected));
     }
 
     // Predict+Validate phase: the synthetic suite (whose SquashStorm
@@ -522,73 +463,24 @@ main(int argc, char **argv)
         std::vector<sim::SynthStudy> baseline = sim::runSynthSweep(
             vp_specs, schemes, machine, threads, {});
 
-        unsigned phase_points = 0;
-        fault::FaultCounters phase_injected;
-        bool phase_state_ok = true;
+        Phase phase(spec);
         for (std::size_t a = 0; a < vp_specs.size(); ++a) {
             for (std::size_t s = 0; s < schemes.size(); ++s) {
                 const tls::RunResult &f = faulted[a].outcomes[s].result;
                 const tls::RunResult &c = clean[a].outcomes[s].result;
-                const tls::RunResult &b = baseline[a].outcomes[s].result;
-                ++tally.points;
-                ++phase_points;
                 vp_predictions +=
                     f.counters.get("value_predictions") +
                     c.counters.get("value_predictions");
-                if (f.committedTasks != vp_specs[a].tasks ||
-                    c.committedTasks != vp_specs[a].tasks) {
-                    ++tally.completionFailures;
-                    std::fprintf(stderr,
-                                 "soak: vp %s/%s committed %llu/%u "
-                                 "tasks\n",
-                                 vp_specs[a].name().c_str(),
-                                 vp_schemes[s].name().c_str(),
-                                 (unsigned long long)f.committedTasks,
-                                 vp_specs[a].tasks);
-                }
-                if (f.memStateHash != c.memStateHash ||
-                    f.memStateLines != c.memStateLines) {
-                    ++tally.stateMismatches;
-                    phase_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: vp %s/%s faulted-vs-clean memory-state "
-                        "divergence\n  spec: %s\n  schedule: %s\n",
-                        vp_specs[a].name().c_str(),
-                        vp_schemes[s].name().c_str(),
-                        vp_specs[a].canonical().c_str(),
-                        spec.canonical().c_str());
-                }
-                if (c.memStateHash != b.memStateHash ||
-                    c.memStateLines != b.memStateLines) {
-                    ++tally.stateMismatches;
-                    phase_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: vp %s/%s predicted-vs-baseline "
-                        "memory-state divergence (%016llx/%llu vs "
-                        "%016llx/%llu)\n",
-                        vp_specs[a].name().c_str(),
-                        vp_schemes[s].name().c_str(),
-                        (unsigned long long)c.memStateHash,
-                        (unsigned long long)c.memStateLines,
-                        (unsigned long long)b.memStateHash,
-                        (unsigned long long)b.memStateLines);
-                }
-                tally.fold(f.faults);
-                phase_injected.spuriousSquashes +=
-                    f.faults.spuriousSquashes;
-                phase_injected.commitSquashes +=
-                    f.faults.commitSquashes;
+                const std::string point =
+                    "vp " + vp_specs[a].name() + "/" + vp_schemes[s].name();
+                tally.check(phase, point, vp_specs[a].tasks, f, c,
+                            &vp_specs[a]);
+                tally.sameState(phase, point, "predicted-vs-baseline", c,
+                                baseline[a].outcomes[s].result);
             }
         }
-        char injected[96];
-        std::snprintf(injected, sizeof(injected), "sq %llu+%llu",
-                      (unsigned long long)phase_injected.spuriousSquashes,
-                      (unsigned long long)phase_injected.commitSquashes);
-        table.addRow({"vp", "NUMA-16", spec.canonical(),
-                      std::to_string(phase_points), injected,
-                      phase_state_ok ? "match" : "DIVERGED"});
+        addPhaseRow(table, "vp", "NUMA-16", phase,
+                    squashCounts(phase.injected));
     }
 
     std::fputs(table.render().c_str(), stdout);

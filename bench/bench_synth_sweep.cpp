@@ -240,27 +240,13 @@ main(int argc, char **argv)
 
             // The two chains share edges; report each inverted pair
             // once per (machine, kind).
-            std::vector<std::pair<std::size_t, std::size_t>> seen;
-            for (const auto &chain : upgradeChains()) {
-                for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
-                    auto edge = std::make_pair(chain[k], chain[k + 1]);
-                    if (std::find(seen.begin(), seen.end(), edge) !=
-                        seen.end())
-                        continue;
-                    seen.push_back(edge);
-                    const sim::SynthOutcome &lo =
-                        study.outcomes[edge.first];
-                    const sim::SynthOutcome &hi =
-                        study.outcomes[edge.second];
-                    if (hi.speedup < lo.speedup * (1.0 - kEps)) {
-                        inversions.push_back(
-                            {machine.name,
-                             apps::synthKindName(study.spec.kind),
-                             lo.scheme.name(), hi.scheme.name(),
-                             lo.speedup, hi.speedup,
-                             hi.bufferCostKb - lo.bufferCostKb});
-                    }
-                }
+            for (const auto &edge : invertedEdges(study.outcomes, kEps)) {
+                const sim::SynthOutcome &lo = study.outcomes[edge.first];
+                const sim::SynthOutcome &hi = study.outcomes[edge.second];
+                inversions.push_back(
+                    {machine.name, apps::synthKindName(study.spec.kind),
+                     lo.scheme.name(), hi.scheme.name(), lo.speedup,
+                     hi.speedup, hi.bufferCostKb - lo.bufferCostKb});
             }
         }
         std::printf("== %s ==\n%s\n", machine.name.c_str(),

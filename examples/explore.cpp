@@ -15,6 +15,7 @@
  *   explore --app P3m --merge lazy --l2kb 4096 --l2assoc 16   # Lazy.L2
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +38,21 @@ usage(const char *argv0)
                  "[--no-overflow] [--line-detect] [--list]\n",
                  argv0);
     std::exit(1);
+}
+
+/** Value of a count flag (--reps, --threads): a whole number >= 1,
+ *  saturated at UINT_MAX. */
+unsigned
+parseCount(const char *flag, const char *value)
+{
+    char *end = nullptr;
+    long v = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || v < 1) {
+        std::fprintf(stderr, "%s wants a count >= 1, got '%s'\n", flag,
+                     value);
+        std::exit(1);
+    }
+    return v > long(UINT_MAX) ? UINT_MAX : unsigned(v);
 }
 
 } // namespace
@@ -85,9 +101,9 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             seed = std::strtoull(next(), nullptr, 0);
         } else if (arg == "--reps") {
-            reps = unsigned(std::atoi(next()));
+            reps = parseCount("--reps", next());
         } else if (arg == "--threads") {
-            threads = unsigned(std::atoi(next()));
+            threads = parseCount("--threads", next());
         } else if (arg == "--l2kb") {
             l2kb = std::strtoull(next(), nullptr, 0);
         } else if (arg == "--l2assoc") {

@@ -162,6 +162,22 @@ struct FaultCounters {
                undoStressEvents + spuriousSquashes + commitSquashes;
     }
 
+    /** Add every counter of @p o (totals across runs). */
+    FaultCounters &
+    operator+=(const FaultCounters &o)
+    {
+        nocDelays += o.nocDelays;
+        nocStalls += o.nocStalls;
+        nocRetries += o.nocRetries;
+        forcedSpills += o.forcedSpills;
+        overflowPressure += o.overflowPressure;
+        undoStressEvents += o.undoStressEvents;
+        undoStressCycles += o.undoStressCycles;
+        spuriousSquashes += o.spuriousSquashes;
+        commitSquashes += o.commitSquashes;
+        return *this;
+    }
+
     bool operator==(const FaultCounters &) const = default;
 };
 

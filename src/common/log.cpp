@@ -16,18 +16,4 @@ panic(const std::string &msg)
     std::abort();
 }
 
-void
-warn(const std::string &msg)
-{
-    if (Log::enabled(LogLevel::Warn))
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const std::string &msg)
-{
-    if (Log::enabled(LogLevel::Info))
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 } // namespace tlsim

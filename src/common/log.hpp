@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal leveled logging for the simulator.
+ * Fatal-error reporting for the simulator.
  *
  * Follows the gem5 split between conditions that are the user's fault
  * (fatal) and conditions that are a simulator bug (panic).
@@ -15,27 +15,6 @@
 
 namespace tlsim {
 
-/** Verbosity levels, in increasing verbosity order. */
-enum class LogLevel { Quiet = 0, Warn = 1, Info = 2, Debug = 3 };
-
-/**
- * Process-wide log configuration.
- *
- * Simulations are single-threaded; no synchronization is needed.
- */
-class Log
-{
-  public:
-    static LogLevel level() { return level_; }
-    static void setLevel(LogLevel lvl) { level_ = lvl; }
-
-    /** True if messages at @p lvl would currently be emitted. */
-    static bool enabled(LogLevel lvl) { return lvl <= level_; }
-
-  private:
-    static inline LogLevel level_ = LogLevel::Warn;
-};
-
 /**
  * Terminate with an error that is the *user's* fault (bad configuration,
  * impossible parameter combination). Exits with status 1.
@@ -47,12 +26,6 @@ class Log
  * Aborts so that a debugger/core dump can capture the state.
  */
 [[noreturn]] void panic(const std::string &msg);
-
-/** Emit a warning (something works, but maybe not as the user expects). */
-void warn(const std::string &msg);
-
-/** Emit an informational message at Info verbosity. */
-void inform(const std::string &msg);
 
 } // namespace tlsim
 

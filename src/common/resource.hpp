@@ -6,9 +6,6 @@
 #ifndef TLSIM_COMMON_RESOURCE_HPP
 #define TLSIM_COMMON_RESOURCE_HPP
 
-#include <cstdint>
-#include <string>
-
 #include "common/types.hpp"
 
 namespace tlsim {
@@ -38,33 +35,14 @@ class Resource
     {
         Cycle start = when > nextFree_ ? when : nextFree_;
         nextFree_ = start + occupancy;
-        busyCycles_ += occupancy;
-        ++uses_;
         return start - when;
     }
 
     /** Earliest time a new request could start service. */
     Cycle nextFree() const { return nextFree_; }
 
-    /** Total cycles of reserved occupancy (utilization numerator). */
-    Cycle busyCycles() const { return busyCycles_; }
-
-    /** Number of acquisitions. */
-    std::uint64_t uses() const { return uses_; }
-
-    /** Forget all reservations (new simulation run). */
-    void
-    reset()
-    {
-        nextFree_ = 0;
-        busyCycles_ = 0;
-        uses_ = 0;
-    }
-
   private:
     Cycle nextFree_ = 0;
-    Cycle busyCycles_ = 0;
-    std::uint64_t uses_ = 0;
 };
 
 } // namespace tlsim

@@ -182,22 +182,6 @@ packScheme(unsigned separation, unsigned merging, bool software_log,
                         (predicts_values ? 0x20 : 0));
 }
 
-/** True if the packed scheme byte denotes an FMM merging scheme
- *  (flag bits 0x10/0x20 are ignored; sentinels are not schemes). */
-constexpr bool
-schemeIsFmm(std::uint8_t s)
-{
-    return (s & ~0x3Fu) == 0 && (s & 0x0F) <= 8 &&
-           (s & 0x0F) % 3 == 2;
-}
-
-/** True if the packed scheme byte carries the PredictValidate flag. */
-constexpr bool
-schemePredictsValues(std::uint8_t s)
-{
-    return (s & ~0x3Fu) == 0 && (s & 0x20) != 0;
-}
-
 /** Human-readable label, e.g. "MultiT&MV/FMM.Sw", "sequential". */
 std::string schemeLabel(std::uint8_t s);
 ///@}
@@ -290,7 +274,7 @@ std::uint64_t droppedRecords();
  * group. One sweep point runs entirely on one thread, so a group's
  * emission order is well-defined and identical for every thread
  * count — drained traces are byte-for-byte deterministic.
- * Call only after the sweep finished (e.g. after TaskPool::wait).
+ * Call only after the sweep finished (after parallelFor returned).
  */
 std::vector<Record> drain();
 

@@ -76,7 +76,6 @@ class ValuePredictor
     std::uint64_t lookups() const { return lookups_; }
     std::uint64_t predictions() const { return predictions_; }
     std::uint64_t trainings() const { return trainings_; }
-    std::size_t tableEntries() const { return table_.size(); }
 
   private:
     struct Entry {

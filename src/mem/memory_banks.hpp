@@ -15,8 +15,7 @@ namespace tlsim::mem {
 
 /**
  * A set of independently contended banks. Zero-load latency lives in
- * the machine latency table; this class only adds queueing delay and
- * tracks utilization.
+ * the machine latency table; this class only adds queueing delay.
  */
 class MemoryBanks
 {
@@ -30,33 +29,6 @@ class MemoryBanks
     access(unsigned bank, Cycle when)
     {
         return banks_[bank % banks_.size()].acquire(when, occupancy_);
-    }
-
-    Cycle occupancy() const { return occupancy_; }
-
-    /** Latest next-free horizon across banks (debug/stats). */
-    Cycle
-    maxNextFree() const
-    {
-        Cycle m = 0;
-        for (const auto &b : banks_)
-            m = b.nextFree() > m ? b.nextFree() : m;
-        return m;
-    }
-    std::uint64_t
-    totalAccesses() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &b : banks_)
-            n += b.uses();
-        return n;
-    }
-
-    void
-    reset()
-    {
-        for (auto &b : banks_)
-            b.reset();
     }
 
   private:

@@ -9,8 +9,6 @@ OverflowArea::put(Addr line, VersionTag version)
 {
     if (entries_.insert(Key{line, version.producer, version.incarnation})) {
         ++spills_;
-        if (faultPressured())
-            ++pressured_spills_;
         TLSIM_TRACE_EVENT(trace::Kind::VersionOverflow, ~0u,
                           version.producer, line, version.incarnation);
     }

@@ -64,9 +64,6 @@ class OverflowArea
         return fault_cap_ != 0 && entries_.size() >= fault_cap_;
     }
 
-    /** Number of spills that landed while saturated. */
-    std::uint64_t pressuredSpills() const { return pressured_spills_; }
-
     /**
      * Cap the table at @p entries live lines (scaled machines bound
      * their overflow tag stores; exceeding them is a loud panic, see
@@ -108,7 +105,6 @@ class OverflowArea
     std::size_t peak_ = 0;
     std::uint64_t spills_ = 0;
     std::size_t fault_cap_ = 0;
-    std::uint64_t pressured_spills_ = 0;
 };
 
 } // namespace tlsim::mem

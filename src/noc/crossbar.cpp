@@ -15,7 +15,6 @@ Crossbar::Crossbar(unsigned nodes) : ports_(nodes)
 Cycle
 Crossbar::traverse(Cycle when, NodeId src, NodeId dst, MsgClass cls)
 {
-    ++messages_;
     if (src == dst)
         return 0;
     TLSIM_TRACE_EVENT_AT(when, trace::Kind::NocSend, src,
@@ -27,14 +26,6 @@ Crossbar::traverse(Cycle when, NodeId src, NodeId dst, MsgClass cls)
                          trace::Kind::NocDeliver, src, unsigned(cls),
                          dst, delay);
     return delay;
-}
-
-void
-Crossbar::reset()
-{
-    for (auto &p : ports_)
-        p.reset();
-    messages_ = 0;
 }
 
 } // namespace tlsim::noc

@@ -35,7 +35,6 @@ class Crossbar : public Interconnect
     {
         return static_cast<NodeId>(ports_.size());
     }
-    void reset() override;
 
   private:
     std::vector<Resource> ports_;

@@ -53,12 +53,6 @@ class Interconnect
     /** Number of nodes attached. */
     virtual NodeId numNodes() const = 0;
 
-    /** Clear all contention state. */
-    virtual void reset() = 0;
-
-    /** Total messages injected since reset. */
-    std::uint64_t messages() const { return messages_; }
-
     /**
      * Attach a fault plan consulted on every hop (nullptr detaches).
      * The caller keeps ownership and must outlive the interconnect's
@@ -67,7 +61,6 @@ class Interconnect
     void attachFaults(fault::FaultPlan *plan) { faults_ = plan; }
 
   protected:
-    std::uint64_t messages_ = 0;
     fault::FaultPlan *faults_ = nullptr;
 };
 

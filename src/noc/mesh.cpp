@@ -45,7 +45,6 @@ Mesh2D::link(NodeId from, int dir)
 Cycle
 Mesh2D::traverse(Cycle when, NodeId src, NodeId dst, MsgClass cls)
 {
-    ++messages_;
     if (src == dst)
         return 0;
 
@@ -93,23 +92,6 @@ Mesh2D::traverse(Cycle when, NodeId src, NodeId dst, MsgClass cls)
     TLSIM_TRACE_EVENT_AT(t, trace::Kind::NocDeliver, src,
                          unsigned(cls), dst, delay);
     return delay;
-}
-
-void
-Mesh2D::reset()
-{
-    for (auto &l : links_)
-        l.reset();
-    messages_ = 0;
-}
-
-Cycle
-Mesh2D::totalLinkBusy() const
-{
-    Cycle sum = 0;
-    for (const auto &l : links_)
-        sum += l.busyCycles();
-    return sum;
 }
 
 } // namespace tlsim::noc

@@ -29,13 +29,9 @@ class Mesh2D : public Interconnect
     Cycle traverse(Cycle when, NodeId src, NodeId dst,
                    MsgClass cls) override;
     NodeId numNodes() const override { return rows_ * cols_; }
-    void reset() override;
 
     unsigned rows() const { return rows_; }
     unsigned cols() const { return cols_; }
-
-    /** Aggregate busy cycles across all links (for utilization stats). */
-    Cycle totalLinkBusy() const;
 
   private:
     unsigned rows_;

@@ -1,10 +1,11 @@
 #include "sim/study.hpp"
 
+#include <functional>
 #include <sstream>
 
+#include "common/parallel_for.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "common/task_pool.hpp"
 #include "common/trace.hpp"
 
 namespace tlsim::sim {
@@ -23,24 +24,43 @@ AppStudy::busyShare(std::size_t idx) const
     return outcomes[idx].result.busyFraction();
 }
 
+namespace {
+
+/**
+ * Run @p workload on @p machine under @p scheme, or as the sequential
+ * baseline when @p scheme is null. A fault schedule's seed is mixed
+ * with the workload's seed (identity-hash discipline, see
+ * derivePointSeed): its streams depend only on (spec seed, workload
+ * seed), never on sweep order or thread count.
+ */
+tls::RunResult
+simulate(tls::Workload &workload, const tls::SchemeConfig *scheme,
+         const mem::MachineParams &machine,
+         const fault::FaultSpec &faults)
+{
+    tls::EngineConfig cfg;
+    cfg.machine = machine;
+    cfg.sequential = scheme == nullptr;
+    if (scheme != nullptr) {
+        cfg.scheme = *scheme;
+        cfg.faults = faults;
+        if (faults.anyEnabled())
+            cfg.faults.seed =
+                fault::deriveFaultSeed(faults.seed, workload.seed());
+    }
+    tls::SpeculationEngine engine(cfg, workload);
+    return engine.run();
+}
+
+} // namespace
+
 tls::RunResult
 runScheme(const apps::AppParams &app, const tls::SchemeConfig &scheme,
           const mem::MachineParams &machine,
           const fault::FaultSpec &faults)
 {
     apps::LoopWorkload workload(app);
-    tls::EngineConfig cfg;
-    cfg.scheme = scheme;
-    cfg.machine = machine;
-    cfg.faults = faults;
-    if (faults.anyEnabled()) {
-        // Identity-hash discipline (see derivePointSeed): the plan's
-        // streams depend only on (spec seed, workload seed), never on
-        // sweep order or thread count.
-        cfg.faults.seed = fault::deriveFaultSeed(faults.seed, app.seed);
-    }
-    tls::SpeculationEngine engine(cfg, workload);
-    return engine.run();
+    return simulate(workload, &scheme, machine, faults);
 }
 
 tls::RunResult
@@ -48,11 +68,7 @@ runSequential(const apps::AppParams &app,
               const mem::MachineParams &machine)
 {
     apps::LoopWorkload workload(app);
-    tls::EngineConfig cfg;
-    cfg.machine = machine;
-    cfg.sequential = true;
-    tls::SpeculationEngine engine(cfg, workload);
-    return engine.run();
+    return simulate(workload, nullptr, machine, {});
 }
 
 std::uint64_t
@@ -76,6 +92,30 @@ derivePointSeed(std::uint64_t base_seed, const std::string &app_name,
 }
 
 namespace {
+
+/** forEachPoint's point index for a draw's sequential baseline. */
+constexpr std::size_t kBaseline = ~std::size_t(0);
+
+/**
+ * Fan one sweep out over parallelFor: for every draw (an app or a
+ * synthetic spec), fn(draw, kBaseline) for its sequential baseline,
+ * then fn(draw, p) for each of its @p per_draw points. Jobs are
+ * numbered in that order, so one thread runs them exactly in it; a
+ * point's result slot is draw * per_draw + p at any thread count.
+ */
+void
+forEachPoint(std::size_t draws, std::size_t per_draw, unsigned threads,
+             const std::function<void(std::size_t, std::size_t)> &fn)
+{
+    const std::size_t jobs_per_draw = per_draw + 1;
+    parallelFor(
+        draws * jobs_per_draw,
+        [&](std::size_t job) {
+            const std::size_t p = job % jobs_per_draw;
+            fn(job / jobs_per_draw, p == 0 ? kBaseline : p - 1);
+        },
+        threads);
+}
 
 /** Replication 0..reps-1 of one (app, scheme) point. */
 tls::RunResult
@@ -127,8 +167,8 @@ runStudySweep(const std::vector<apps::AppParams> &apps,
     // Trace-stream identity of every point in this sweep. The ordinal
     // distinguishes repeated sweeps over the same (app, machine) pair
     // within one process (bench_fig10 runs two); it is claimed on the
-    // submitting thread, so it is deterministic for a fixed call
-    // sequence regardless of the pool's thread count.
+    // calling thread before the fan-out, so it is deterministic for a
+    // fixed call sequence regardless of the thread count.
     const unsigned sweep_ordinal = trace::nextSweepOrdinal();
 
     // One result slot per job; jobs write only their own slot, and
@@ -137,33 +177,23 @@ runStudySweep(const std::vector<apps::AppParams> &apps,
     std::vector<Cycle> seq_times(n_apps, 0);
     std::vector<tls::RunResult> runs(n_apps * n_schemes * reps);
 
-    TaskPool pool(threads);
-    for (std::size_t a = 0; a < n_apps; ++a) {
-        pool.submit([&, a] {
+    forEachPoint(
+        n_apps, n_schemes * reps, threads,
+        [&](std::size_t a, std::size_t p) {
             // Each job declares the (stream, rep) its records belong
             // to; the scheme byte is declared by the engine itself.
-            trace::ScopedPoint point(
-                trace::streamId(apps[a].name, machine.name,
-                                sweep_ordinal),
-                0);
-            seq_times[a] = runSequential(apps[a], machine).execTime;
-        });
-        for (std::size_t s = 0; s < n_schemes; ++s) {
-            for (unsigned rep = 0; rep < reps; ++rep) {
-                std::size_t slot = (a * n_schemes + s) * reps + rep;
-                pool.submit([&, a, s, rep, slot] {
-                    trace::ScopedPoint point(
-                        trace::streamId(apps[a].name, machine.name,
-                                        sweep_ordinal),
-                        std::uint8_t(rep));
-                    runs[slot] =
-                        runReplication(apps[a], schemes[s], machine, rep,
-                                       faults);
-                });
+            const std::uint32_t stream = trace::streamId(
+                apps[a].name, machine.name, sweep_ordinal);
+            if (p == kBaseline) {
+                trace::ScopedPoint point(stream, 0);
+                seq_times[a] = runSequential(apps[a], machine).execTime;
+                return;
             }
-        }
-    }
-    pool.wait();
+            const unsigned rep = unsigned(p % reps);
+            trace::ScopedPoint point(stream, std::uint8_t(rep));
+            runs[a * n_schemes * reps + p] = runReplication(
+                apps[a], schemes[p / reps], machine, rep, faults);
+        });
 
     std::vector<AppStudy> studies;
     studies.reserve(n_apps);
@@ -192,14 +222,7 @@ runSynthScheme(const apps::SynthSpec &spec,
                const fault::FaultSpec &faults)
 {
     apps::SynthWorkload workload(spec);
-    tls::EngineConfig cfg;
-    cfg.scheme = scheme;
-    cfg.machine = machine;
-    cfg.faults = faults;
-    if (faults.anyEnabled())
-        cfg.faults.seed = fault::deriveFaultSeed(faults.seed, spec.seed);
-    tls::SpeculationEngine engine(cfg, workload);
-    return engine.run();
+    return simulate(workload, &scheme, machine, faults);
 }
 
 tls::RunResult
@@ -207,11 +230,7 @@ runSynthSequential(const apps::SynthSpec &spec,
                    const mem::MachineParams &machine)
 {
     apps::SynthWorkload workload(spec);
-    tls::EngineConfig cfg;
-    cfg.machine = machine;
-    cfg.sequential = true;
-    tls::SpeculationEngine engine(cfg, workload);
-    return engine.run();
+    return simulate(workload, nullptr, machine, {});
 }
 
 tls::BufferSizing
@@ -245,29 +264,19 @@ runSynthSweep(const std::vector<apps::SynthSpec> &specs,
     std::vector<Cycle> seq_times(n_specs, 0);
     std::vector<tls::RunResult> runs(n_specs * n_schemes);
 
-    TaskPool pool(threads);
-    for (std::size_t i = 0; i < n_specs; ++i) {
-        pool.submit([&, i] {
+    forEachPoint(
+        n_specs, n_schemes, threads, [&](std::size_t i, std::size_t s) {
             trace::ScopedPoint point(
                 trace::streamId(specs[i].name(), machine.name,
                                 sweep_ordinal),
                 0);
-            seq_times[i] =
-                runSynthSequential(specs[i], machine).execTime;
+            if (s == kBaseline)
+                seq_times[i] =
+                    runSynthSequential(specs[i], machine).execTime;
+            else
+                runs[i * n_schemes + s] =
+                    runSynthScheme(specs[i], schemes[s], machine, faults);
         });
-        for (std::size_t s = 0; s < n_schemes; ++s) {
-            std::size_t slot = i * n_schemes + s;
-            pool.submit([&, i, s, slot] {
-                trace::ScopedPoint point(
-                    trace::streamId(specs[i].name(), machine.name,
-                                    sweep_ordinal),
-                    0);
-                runs[slot] = runSynthScheme(specs[i], schemes[s], machine,
-                                            faults);
-            });
-        }
-    }
-    pool.wait();
 
     std::vector<SynthStudy> studies;
     studies.reserve(n_specs);

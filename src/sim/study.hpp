@@ -6,8 +6,8 @@
  *
  * Sweeps are parallel: every (app, scheme, replication) point — plus
  * each app's sequential baseline — is an independent simulation, so
- * the runners fan points out over a TaskPool and aggregate results in
- * deterministic sweep order. Each point's workload seed is derived by
+ * the runners fan points out over parallelFor (common/parallel_for.hpp)
+ * and aggregate results in deterministic sweep order. Each point's workload seed is derived by
  * hashing the point's identity (see derivePointSeed), never from draw
  * order, so figure tables are byte-identical at any thread count
  * (including 1). Thread count: explicit argument > TLSIM_THREADS env
@@ -110,7 +110,7 @@ AppStudy runAppStudy(const apps::AppParams &app,
 
 /**
  * Run a whole figure sweep: every app under every scheme, plus each
- * app's sequential baseline, as one flat pool of parallel jobs.
+ * app's sequential baseline, as one flat set of parallel jobs.
  *
  * Equivalent to calling runAppStudy per app (identical output down to
  * the byte), but exposes sweep-wide parallelism: all
@@ -163,7 +163,7 @@ tls::BufferSizing bufferSizingOf(const mem::MachineParams &machine);
 
 /**
  * Sweep: every spec under every scheme plus per-spec sequential
- * baselines, one flat pool of parallel jobs, deterministic at any
+ * baselines, one flat set of parallel jobs, deterministic at any
  * thread count (results are indexed, not draw-ordered; each point's
  * stream depends only on its spec).
  */

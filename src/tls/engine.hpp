@@ -85,8 +85,6 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     void onTaskFinished(ProcId proc, TaskId task) override;
     ///@}
 
-    const EngineConfig &config() const { return cfg_; }
-
   private:
     /** Where a needed version was found (timing classification). */
     enum class Source {

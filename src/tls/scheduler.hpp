@@ -32,9 +32,6 @@ class TaskScheduler
 
     bool empty() const { return pending_.empty(); }
 
-    /** Lowest pending task ID. @pre !empty(). */
-    TaskId peek() const { return pending_.top(); }
-
     /** Remove and return the lowest pending task. @pre !empty(). */
     TaskId
     take()

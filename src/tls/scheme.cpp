@@ -24,16 +24,6 @@ mergingName(Merging m)
     return "?";
 }
 
-const char *
-validationName(Validation v)
-{
-    switch (v) {
-      case Validation::None: return "None";
-      case Validation::PredictValidate: return "Predict+Validate";
-    }
-    return "?";
-}
-
 unsigned
 SupportSet::count() const
 {

@@ -45,7 +45,6 @@ enum class Validation : std::uint8_t {
 
 const char *separationName(Separation s);
 const char *mergingName(Merging m);
-const char *validationName(Validation v);
 
 /**
  * Hardware supports of Table 1 (bitmask values).
@@ -106,7 +105,6 @@ struct SchemeConfig {
     }
 
     bool isAmm() const { return merging != Merging::FMM; }
-    bool multiTask() const { return separation != Separation::SingleT; }
     bool multiVersion() const
     {
         return separation == Separation::MultiTMV;

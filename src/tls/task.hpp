@@ -26,8 +26,6 @@ enum class TaskState : std::uint8_t {
     Committed   ///< architectural
 };
 
-const char *taskStateName(TaskState s);
-
 /**
  * The speculative footprint of one execution of a task. It lives only
  * as long as the execution: the engine hands one out at dispatch and

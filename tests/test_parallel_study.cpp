@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the TaskPool scheduler and the parallel sweep runner's
+ * Tests for the parallelFor fan-out and the parallel sweep runner's
  * determinism contract: a fixed-seed Figure-9-style sweep must produce
  * byte-identical results at 1, 2 and 8 threads, with the in-order and
  * the out-of-order core.
@@ -10,77 +10,20 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
-#include "common/task_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "sim/study.hpp"
 
 using namespace tlsim;
 
 // ---------------------------------------------------------------
-// TaskPool / parallelFor scheduler
+// parallelFor fan-out
 // ---------------------------------------------------------------
-
-TEST(TaskPool, RunsEverySubmittedJob)
-{
-    for (unsigned threads : {1u, 2u, 8u}) {
-        TaskPool pool(threads);
-        std::atomic<int> done{0};
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&done] { done.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(done.load(), 64) << "threads=" << threads;
-    }
-}
-
-TEST(TaskPool, IsReusableAfterWait)
-{
-    TaskPool pool(4);
-    std::atomic<int> done{0};
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 16; ++i)
-            pool.submit([&done] { done.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(done.load(), 16 * (round + 1));
-    }
-}
-
-TEST(TaskPool, WaitRethrowsFirstJobException)
-{
-    for (unsigned threads : {1u, 4u}) {
-        TaskPool pool(threads);
-        std::atomic<int> done{0};
-        for (int i = 0; i < 8; ++i)
-            pool.submit([&done, i] {
-                if (i == 3)
-                    throw std::runtime_error("job failed");
-                done.fetch_add(1);
-            });
-        EXPECT_THROW(pool.wait(), std::runtime_error)
-            << "threads=" << threads;
-        // The other jobs still ran: slots stay consistent on error.
-        EXPECT_EQ(done.load(), 7);
-        // And the error does not stick to the next batch.
-        pool.submit([&done] { done.fetch_add(1); });
-        EXPECT_NO_THROW(pool.wait());
-    }
-}
-
-TEST(TaskPool, SingleThreadPoolRunsInline)
-{
-    // With one thread, jobs execute in submission order on the calling
-    // thread — the sequential baseline of the determinism contract.
-    TaskPool pool(1);
-    std::vector<int> order;
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&order, i] { order.push_back(i); });
-    pool.wait();
-    ASSERT_EQ(order.size(), 8u);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(order[i], i);
-}
 
 TEST(ParallelFor, VisitsEachIndexExactlyOnce)
 {
@@ -105,14 +48,56 @@ TEST(ParallelFor, HandlesEmptyAndSingleRanges)
 
 TEST(ParallelFor, PropagatesExceptions)
 {
-    EXPECT_THROW(parallelFor(
-                     16,
-                     [](std::size_t i) {
-                         if (i == 5)
-                             throw std::runtime_error("boom");
-                     },
-                     4),
-                 std::runtime_error);
+    for (unsigned threads : {1u, 4u}) {
+        std::vector<std::atomic<int>> visits(16);
+        EXPECT_THROW(parallelFor(
+                         16,
+                         [&](std::size_t i) {
+                             if (i == 5)
+                                 throw std::runtime_error("boom");
+                             visits[i].fetch_add(1);
+                         },
+                         threads),
+                     std::runtime_error)
+            << "threads=" << threads;
+        // The other indices still ran: result slots stay consistent.
+        for (std::size_t i = 0; i < visits.size(); ++i)
+            EXPECT_EQ(visits[i].load(), i == 5 ? 0 : 1)
+                << "i=" << i << " threads=" << threads;
+        // And the error does not stick to the next call.
+        EXPECT_NO_THROW(parallelFor(16, [](std::size_t) {}, threads));
+    }
+}
+
+TEST(ParallelFor, OneThreadRunsInIndexOrderOnTheCaller)
+{
+    // The sequential baseline of the determinism contract.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    parallelFor(
+        8,
+        [&](std::size_t i) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            order.push_back(i);
+        },
+        1);
+    ASSERT_EQ(order.size(), 8u);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, StartsNoMoreWorkersThanIndices)
+{
+    std::mutex mu;
+    std::set<std::thread::id> workers;
+    parallelFor(
+        3,
+        [&](std::size_t) {
+            std::lock_guard<std::mutex> lock(mu);
+            workers.insert(std::this_thread::get_id());
+        },
+        64);
+    EXPECT_LE(workers.size(), 3u);
 }
 
 TEST(ThreadCount, EnvOverrideWins)
@@ -121,6 +106,9 @@ TEST(ThreadCount, EnvOverrideWins)
     EXPECT_EQ(defaultThreadCount(), 3u);
     EXPECT_EQ(resolveThreadCount(0), 3u);
     EXPECT_EQ(resolveThreadCount(7), 7u); // explicit beats env
+    EXPECT_EQ(resolveThreadCount(100000), 256u); // capped, like the env
+    ASSERT_EQ(setenv("TLSIM_THREADS", "100000", 1), 0);
+    EXPECT_EQ(defaultThreadCount(), 256u);
     ASSERT_EQ(setenv("TLSIM_THREADS", "not-a-number", 1), 0);
     EXPECT_GE(defaultThreadCount(), 1u); // garbage falls back
     ASSERT_EQ(unsetenv("TLSIM_THREADS"), 0);

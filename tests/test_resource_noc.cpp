@@ -34,18 +34,6 @@ TEST(Resource, LateRequestSeesNoQueue)
     EXPECT_EQ(r.acquire(50, 10), 0u);
 }
 
-TEST(Resource, TracksUtilization)
-{
-    Resource r;
-    r.acquire(0, 4);
-    r.acquire(0, 4);
-    EXPECT_EQ(r.busyCycles(), 8u);
-    EXPECT_EQ(r.uses(), 2u);
-    r.reset();
-    EXPECT_EQ(r.busyCycles(), 0u);
-    EXPECT_EQ(r.nextFree(), 0u);
-}
-
 TEST(Mesh2D, HopsAreManhattanDistance)
 {
     Mesh2D mesh(4, 4);
@@ -77,17 +65,6 @@ TEST(Mesh2D, DisjointPathsDoNotInterfere)
     Mesh2D mesh(4, 4);
     mesh.traverse(0, 0, 1, MsgClass::Data);
     EXPECT_EQ(mesh.traverse(0, 14, 15, MsgClass::Data), 0u);
-}
-
-TEST(Mesh2D, MessagesAreCounted)
-{
-    Mesh2D mesh(2, 2);
-    mesh.traverse(0, 0, 1, MsgClass::Control);
-    mesh.traverse(0, 1, 0, MsgClass::Control);
-    EXPECT_EQ(mesh.messages(), 2u);
-    mesh.reset();
-    EXPECT_EQ(mesh.messages(), 0u);
-    EXPECT_EQ(mesh.totalLinkBusy(), 0u);
 }
 
 TEST(Crossbar, OneHopBetweenDistinctNodes)

@@ -240,7 +240,7 @@ TEST(TraceParallelStudy, TraceIsIdenticalAtAnyThreadCount)
         ASSERT_EQ(one.records.size(), eight.records.size());
         EXPECT_TRUE(std::equal(one.records.begin(), one.records.end(),
                                eight.records.begin()))
-            << "drained trace depends on the pool thread count (mask "
+            << "drained trace depends on the sweep thread count (mask "
             << in.mask << ")";
         if (in.mask & trace::kMaskCore) {
             EXPECT_TRUE(std::any_of(
