@@ -30,6 +30,7 @@ void
 OoOCore::resetTaskState()
 {
     rob_.clear();
+    snoopable_.fill(0);
     storeBuf_.clear();
     unperformedStores_ = 0;
     seq_ = 0;
@@ -53,8 +54,8 @@ OoOCore::resumeStall()
 void
 OoOCore::snoopStore(Addr addr)
 {
-    if (rob_.empty())
-        return;
+    if (snoopable(addr) == 0)
+        return; // no load in the window can match this word
     unsigned shift = params_.conflictShift;
     for (RobEntry &e : rob_) {
         if (e.isStore || e.forwarded || e.needsReissue)
@@ -65,6 +66,7 @@ OoOCore::snoopStore(Addr addr)
             // the LSQ half of the safety net; reads that already
             // retired are the violation detector's job.
             e.needsReissue = true;
+            --snoopable(e.addr);
             ++replays_;
             TLSIM_TRACE_EVENT(trace::Kind::LsqReplay, id_, task_,
                               e.addr,
@@ -147,6 +149,7 @@ OoOCore::issueLoadEntry(Addr addr)
         ++forwards_;
     } else {
         lat = mem_.specLoadIssue(id_, addr, eq_.now()).latency;
+        ++snoopable(addr);
     }
     RobEntry e;
     e.addr = addr;
@@ -244,11 +247,14 @@ OoOCore::retireReady(int &inline_budget)
                 LoadReply reply =
                     mem_.specLoadIssue(id_, e.addr, eq_.now());
                 e.completeTime = eq_.now() + reply.latency;
+                ++snoopable(e.addr);
             }
             if (e.completeTime > eq_.now())
                 return true; // head in flight; issue may run ahead
-            if (!e.forwarded)
+            if (!e.forwarded) {
+                --snoopable(e.addr);
                 mem_.noteLoadRetire(id_, e.addr, eq_.now());
+            }
             TLSIM_TRACE_EVENT(trace::Kind::CoreRetire, id_, task_,
                               e.addr,
                               trace::packCoreArg(false, epoch_, e.seq));

@@ -16,6 +16,7 @@
 #ifndef TLSIM_CPU_OOO_CORE_HPP
 #define TLSIM_CPU_OOO_CORE_HPP
 
+#include <array>
 #include <deque>
 
 #include "cpu/core_model.hpp"
@@ -42,6 +43,15 @@ class OoOCore : public CoreModel
     std::size_t windowOccupancy() const { return rob_.size(); }
     std::uint64_t forwards() const { return forwards_; }
     std::uint64_t replays() const { return replays_; }
+    /** Window loads a remote store could replay, over all buckets. */
+    std::uint64_t
+    snoopableLoads() const
+    {
+        std::uint64_t n = 0;
+        for (std::uint32_t c : snoopable_)
+            n += c;
+        return n;
+    }
     ///@}
 
   private:
@@ -56,7 +66,16 @@ class OoOCore : public CoreModel
         bool needsReissue = false; ///< load must replay at the head
     };
 
+    /** Conflict-word buckets of the snoop filter. */
+    static constexpr unsigned kSnoopBuckets = 64;
+
     std::deque<RobEntry> rob_; ///< issue order; head retires first
+    /**
+     * Per bucket, the window loads a remote store could replay: issued,
+     * not forwarded, not awaiting replay. snoopStore skips the window
+     * scan when the store's bucket is empty.
+     */
+    std::array<std::uint32_t, kSnoopBuckets> snoopable_{};
     StoreBuffer storeBuf_;
     unsigned unperformedStores_ = 0;
     std::uint32_t seq_ = 0;
@@ -78,6 +97,13 @@ class OoOCore : public CoreModel
     Cycle issueBlockedUntil(bool is_store) const;
     unsigned pendingLoads(Cycle now) const;
     void noteIssueSlot();
+
+    std::uint32_t &
+    snoopable(Addr addr)
+    {
+        return snoopable_[(addr >> params_.conflictShift) &
+                          (kSnoopBuckets - 1)];
+    }
 };
 
 } // namespace tlsim::cpu

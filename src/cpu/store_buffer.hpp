@@ -20,7 +20,11 @@ namespace tlsim::cpu {
 class StoreBuffer
 {
   public:
-    explicit StoreBuffer(unsigned entries) : capacity_(entries) {}
+    /** A zero-entry buffer could never take a store; it gets one. */
+    explicit StoreBuffer(unsigned entries)
+        : capacity_(std::max(1u, entries))
+    {
+    }
 
     /** Drop entries that completed by @p now. */
     void

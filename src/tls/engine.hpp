@@ -339,6 +339,14 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     TaskId observedProducer(Addr addr, TaskId reader);
 
     /**
+     * Register @p task's read of detection word @p word, which observed
+     * @p observed's version, unless the read returned the task's own
+     * write. Only the first recorded read of a word counts: its
+     * @p observed is the one the detector keeps.
+     */
+    void noteReadRecord(TaskId task, Addr word, TaskId observed);
+
+    /**
      * Fault injection: displace the just-created version @p tag of
      * @p line out of proc's L2 immediately (forced capacity pressure).
      * @return extra foreground cycles charged to the store.

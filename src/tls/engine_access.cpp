@@ -446,8 +446,18 @@ SpeculationEngine::noteLoadRetire(ProcId proc, Addr addr, Cycle now)
     TaskId task = cores_[proc]->currentTask();
     Addr word = m.wordGranularityDetection ? mem::wordAddr(addr)
                                            : mem::lineAddr(addr);
-    if (rec(task).footprint->noteRead(word))
-        detector_.noteRead(word, task, observedProducer(addr, task));
+    noteReadRecord(task, word, observedProducer(addr, task));
+}
+
+void
+SpeculationEngine::noteReadRecord(TaskId task, Addr word, TaskId observed)
+{
+    // A read of the task's own write leaves no record: checkWrite
+    // squashes only a reader with observed < writer < reader, and the
+    // task's own version outlives every later read of the word in this
+    // execution, so such a record could never fire.
+    if (observed != task && rec(task).footprint->noteRead(word))
+        detector_.noteRead(word, task, observed);
 }
 
 TaskId
@@ -491,15 +501,13 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
         f1->lastUse = now;
         counters_.inc(sid_.l1Hits);
         if (note) {
-            if (rec(task).footprint->noteRead(word)) {
-                TaskId observed =
-                    m.wordGranularityDetection
-                        ? (list ? VersionMap::latestWordWriterIn(
-                                      *list, mem::wordBit(addr), task)
-                                : 0)
-                        : (v ? v->tag.producer : 0);
-                detector_.noteRead(word, task, observed);
-            }
+            TaskId observed =
+                m.wordGranularityDetection
+                    ? (list ? VersionMap::latestWordWriterIn(
+                                  *list, mem::wordBit(addr), task)
+                            : 0)
+                    : (v ? v->tag.producer : 0);
+            noteReadRecord(task, word, observed);
         }
         return {m.latL1};
     }
@@ -583,8 +591,8 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
         }
     }
 
-    if (note && rec(task).footprint->noteRead(word))
-        detector_.noteRead(word, task, observedProducer(addr, task));
+    if (note)
+        noteReadRecord(task, word, observedProducer(addr, task));
     return {lat};
 }
 

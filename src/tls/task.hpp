@@ -38,7 +38,11 @@ struct TaskFootprint {
      * version is created at most once per (line, execution).
      */
     std::vector<Addr> dirtyLines;
-    /** Distinct detection words read (dedup for readLog). */
+    /**
+     * Distinct detection words with a read record (dedup for readLog).
+     * A read of the execution's own write adds nothing; a predicted
+     * read adds its word without a detector record.
+     */
     FlatSet<Addr> readWords;
     /**
      * readWords in first-read order. Dropping the execution's read

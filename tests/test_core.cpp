@@ -243,6 +243,26 @@ TEST_F(CoreFixture, SoftwareLogInstructionsBillAsLogOverhead)
     EXPECT_EQ(core.breakdown().get(CycleKind::LogOverhead), 12u);
 }
 
+TEST_F(CoreFixture, ZeroEntryStoreBufferActsAsOneEntry)
+{
+    CoreParams zero = params;
+    zero.storeBufEntries = 0;
+    Core one_slot{1, eq, zero, mem, listener};
+    one_slot.beginSection();
+    one_slot.startTask(1,
+                       std::make_unique<VectorTrace>(std::vector<Op>{
+                           Op::store(0x100), Op::store(0x108),
+                           Op::store(0x110)}),
+                       0);
+    eq.run();
+    // One slot, 10-cycle stores: stores 2 and 3 each wait for the
+    // previous one, then the last drains.
+    EXPECT_EQ(listener.finished, 1);
+    EXPECT_EQ(mem.stores, 3u);
+    EXPECT_EQ(eq.now(), 30u);
+    EXPECT_EQ(one_slot.breakdown().get(CycleKind::MemStall), 30u);
+}
+
 TEST(StoreBuffer, SlotAndDrainAccounting)
 {
     StoreBuffer buf(2);

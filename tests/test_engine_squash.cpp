@@ -36,13 +36,15 @@ violationPair(unsigned producer_len = 20'000,
 
 RunResult
 run(std::vector<std::vector<Op>> tasks, Merging merge,
-    bool sw = false)
+    bool sw = false,
+    mem::CoreModelKind core = mem::CoreModelKind::InOrder)
 {
     ScriptedWorkload wl(std::move(tasks));
     EngineConfig cfg;
     cfg.scheme =
         SchemeConfig::make(Separation::MultiTMV, merge, sw);
     cfg.machine = mem::MachineParams::numa16();
+    cfg.machine.coreModel = core;
     SpeculationEngine engine(cfg, wl);
     return engine.run();
 }
@@ -144,6 +146,54 @@ TEST(Squash, WarAndWawDoNotSquash)
     tasks.push_back({Op::store(kDepWord), Op::compute(100)});
     RunResult res = run(std::move(tasks), Merging::EagerAMM);
     EXPECT_EQ(res.squashEvents, 0u);
+}
+
+TEST(Squash, ReadBesideOwnWriteInTheLineIsStillRecorded)
+{
+    // The consumer writes word 0 of the dependence line, then reads
+    // word 1 early. It owns a version of the line but never wrote
+    // word 1, so its read observed the architectural value and the
+    // producer's late store to word 1 must squash it.
+    for (mem::CoreModelKind core : {mem::CoreModelKind::InOrder,
+                                    mem::CoreModelKind::OutOfOrder}) {
+        SCOPED_TRACE(mem::coreModelName(core));
+        std::vector<std::vector<Op>> tasks;
+        tasks.push_back({Op::compute(20'000), Op::store(kDepWord + 8),
+                         Op::compute(100)});
+        tasks.push_back({Op::compute(100), Op::store(kDepWord),
+                         Op::load(kDepWord + 8), Op::compute(5000)});
+        RunResult res =
+            run(std::move(tasks), Merging::EagerAMM, false, core);
+        EXPECT_EQ(res.squashEvents, 1u);
+        EXPECT_EQ(res.timelines[1].squashes, 1u);
+        EXPECT_EQ(res.timelines[0].squashes, 0u);
+        EXPECT_EQ(res.committedTasks, 2u);
+    }
+}
+
+TEST(Squash, FirstReadRecordSurvivesALaterOwnWriteRead)
+{
+    // The consumer reads the dependence word early, writes it, then
+    // reads its own write. The last read leaves no record, but the
+    // first read's record stands: the producer's late store squashes
+    // the consumer exactly once, and the re-execution observes the
+    // producer's version.
+    for (mem::CoreModelKind core : {mem::CoreModelKind::InOrder,
+                                    mem::CoreModelKind::OutOfOrder}) {
+        SCOPED_TRACE(mem::coreModelName(core));
+        std::vector<std::vector<Op>> tasks;
+        tasks.push_back({Op::compute(20'000), Op::store(kDepWord),
+                         Op::compute(100)});
+        tasks.push_back({Op::compute(100), Op::load(kDepWord),
+                         Op::compute(100), Op::store(kDepWord),
+                         Op::load(kDepWord), Op::compute(5000)});
+        RunResult res =
+            run(std::move(tasks), Merging::EagerAMM, false, core);
+        EXPECT_EQ(res.squashEvents, 1u);
+        EXPECT_EQ(res.timelines[1].squashes, 1u);
+        EXPECT_EQ(res.timelines[0].squashes, 0u);
+        EXPECT_EQ(res.committedTasks, 2u);
+    }
 }
 
 TEST(Squash, FrequentSquashesHurtFmmMoreThanLazy)

@@ -203,15 +203,55 @@ TEST_F(OoOCoreFixture, SnoopedStoreReplaysInflightLoad)
 
 TEST_F(OoOCoreFixture, SnoopToDifferentWordDoesNotReplay)
 {
+    // 0x100 and 0x300 are 64 words apart: one snoop-filter bucket,
+    // different words. A snoop replays only the load of its own word.
+    mem.loadLatency = 50;
+    makeCore().startTask(1,
+                         std::make_unique<VectorTrace>(std::vector<Op>{
+                             Op::load(0x100), Op::load(0x300)}),
+                         0);
+    eq.schedule(5, [&] {
+        core->snoopStore(0x108);
+        EXPECT_EQ(core->replays(), 0u);
+        EXPECT_EQ(core->snoopableLoads(), 2u);
+    });
+    eq.schedule(10, [&] {
+        core->snoopStore(0x300);
+        EXPECT_EQ(core->replays(), 1u);
+        EXPECT_EQ(core->snoopableLoads(), 1u);
+    });
+    eq.schedule(20, [&] {
+        core->snoopStore(0x100);
+        EXPECT_EQ(core->replays(), 2u);
+        EXPECT_EQ(core->snoopableLoads(), 0u);
+    });
+    eq.run();
+    EXPECT_EQ(core->replays(), 2u);
+    EXPECT_EQ(mem.loadIssues, 4u); // two issues + two replays
+    EXPECT_EQ(mem.loadRetires, 2u);
+    EXPECT_EQ(core->snoopableLoads(), 0u);
+}
+
+TEST_F(OoOCoreFixture, ReissuedLoadReplaysAgainOnASecondSnoop)
+{
     mem.loadLatency = 50;
     makeCore().startTask(1,
                          std::make_unique<VectorTrace>(
                              std::vector<Op>{Op::load(0x100)}),
                          0);
-    eq.schedule(10, [&] { core->snoopStore(0x108); });
+    // The first snoop marks the load; it re-issues at the head at
+    // t=50 and is in flight again until t=100, when the second snoop
+    // must find it.
+    eq.schedule(10, [&] { core->snoopStore(0x100); });
+    eq.schedule(60, [&] {
+        EXPECT_EQ(core->snoopableLoads(), 1u);
+        core->snoopStore(0x100);
+    });
     eq.run();
-    EXPECT_EQ(core->replays(), 0u);
-    EXPECT_EQ(mem.loadIssues, 1u);
+    EXPECT_EQ(core->replays(), 2u);
+    EXPECT_EQ(mem.loadIssues, 3u); // issue + two replays
+    EXPECT_EQ(mem.loadRetires, 1u);
+    EXPECT_EQ(eq.now(), 150u);
 }
 
 TEST_F(OoOCoreFixture, LsqCapacityBackpressuresStores)
@@ -300,12 +340,40 @@ TEST_F(OoOCoreFixture, AbortedCoreCanStartANewTask)
     EXPECT_EQ(listener.last, 2u);
 }
 
+TEST_F(OoOCoreFixture, AbortedTasksLoadsAreNotSnooped)
+{
+    mem.loadLatency = 1000;
+    makeCore().startTask(1,
+                         std::make_unique<VectorTrace>(std::vector<Op>{
+                             Op::load(0x100), Op::load(0x200)}),
+                         0);
+    eq.schedule(50, [&] {
+        core->abortTask();
+        core->startTask(2,
+                        std::make_unique<VectorTrace>(
+                            std::vector<Op>{Op::load(0x300)}),
+                        0);
+    });
+    eq.schedule(60, [&] {
+        EXPECT_EQ(core->snoopableLoads(), 1u); // task 2's load only
+        core->snoopStore(0x100);
+        core->snoopStore(0x200);
+    });
+    eq.run();
+    EXPECT_EQ(core->replays(), 0u);
+    EXPECT_EQ(mem.loadIssues, 3u);
+    EXPECT_EQ(listener.finished, 1);
+    EXPECT_EQ(listener.last, 2u);
+    EXPECT_EQ(core->snoopableLoads(), 0u);
+}
+
 TEST_F(OoOCoreFixture, ZeroCapacityParamsAreClampedNotDeadlocked)
 {
     params.oooWindow = 0;
     params.oooIssueWidth = 0;
     params.maxPendingLoads = 0;
     params.lsqEntries = 0;
+    params.storeBufEntries = 0;
     runTask({Op::load(0x100), Op::store(0x100), Op::load(0x200)});
     EXPECT_EQ(listener.finished, 1);
 }
